@@ -36,8 +36,8 @@ fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine_batch100_cached_warm", |b| {
         let mut exec: ExecutionEngine<Evaluation> =
             ExecutionEngine::new(EngineConfig::default().cache_capacity(4 * BATCH));
-        let _ = exec.evaluate_batch(&batch, &eval);
-        b.iter(|| exec.evaluate_batch(black_box(&batch), &eval));
+        let _ = exec.try_evaluate_batch(&batch, &eval);
+        b.iter(|| exec.try_evaluate_batch(black_box(&batch), &eval));
     });
 }
 

@@ -129,7 +129,11 @@ fn bench_scheduling(budget: Duration) -> (Sample, Sample, f64) {
     let mut barrier_engine: ExecutionEngine<Evaluation> = ExecutionEngine::new(engine_config());
     let generational = measure_n("hetero_generational", SCHED_TOTAL, budget, || {
         for chunk in designs.chunks(SCHED_GEN_BATCH) {
-            black_box(barrier_engine.evaluate_batch(chunk, &eval));
+            black_box(
+                barrier_engine
+                    .try_evaluate_batch(chunk, &eval)
+                    .expect("no faults injected"),
+            );
         }
     });
 

@@ -13,7 +13,9 @@
 //! hypervolume trajectory, and the per-stage wall-clock breakdown
 //! recorded by the `stage_timing` events. `--json` additionally writes
 //! the machine-readable runtime aggregate `BENCH_runtime.json`
-//! (default `results/BENCH_runtime.json`) that CI publishes.
+//! (default `results/BENCH_runtime.json`) that CI publishes; an output
+//! path that names an input log, or any `.jsonl` file, is refused as a
+//! usage error before anything is read or written.
 //!
 //! `--scrape ADDR` asks a running `dse_serve` daemon for its live
 //! metrics snapshot (the `metrics json` protocol command) and prints
@@ -87,7 +89,22 @@ fn load(path: &Path) -> Option<(Vec<RunEvent>, usize)> {
     Some((events, skipped))
 }
 
-fn summaries(args: &[String]) -> ExitCode {
+/// Summary-mode command line: input logs, the optional runtime-JSON
+/// output path, and the optional live-scrape address.
+#[derive(Debug)]
+struct SummaryArgs {
+    logs: Vec<PathBuf>,
+    json_path: Option<PathBuf>,
+    scrape_addr: Option<String>,
+}
+
+/// Parses summary-mode arguments.
+///
+/// `--json` takes the next token as its output path unless that token
+/// is a flag. An output path that names an input log — or any `.jsonl`
+/// run-event log, as in `--json a.jsonl b.jsonl` — is refused, so a
+/// misplaced flag can never overwrite a log with the runtime JSON.
+fn parse_summary_args(args: &[String]) -> Result<SummaryArgs, String> {
     let mut logs: Vec<PathBuf> = Vec::new();
     let mut json_path: Option<PathBuf> = None;
     let mut scrape_addr: Option<String> = None;
@@ -102,22 +119,56 @@ fn summaries(args: &[String]) -> ExitCode {
         } else if arg == "--scrape" {
             match iter.next() {
                 Some(addr) => scrape_addr = Some(addr.clone()),
-                None => {
-                    eprintln!("trace_report: --scrape needs an address");
-                    return ExitCode::from(1);
-                }
+                None => return Err("--scrape needs an address".into()),
             }
         } else if arg.starts_with("--") {
-            eprintln!("trace_report: unknown flag {arg}");
-            return ExitCode::from(1);
+            return Err(format!("unknown flag {arg}"));
         } else {
             logs.push(PathBuf::from(arg));
         }
     }
     if logs.is_empty() && scrape_addr.is_none() {
-        eprintln!("trace_report: no logs given");
-        return ExitCode::from(1);
+        return Err("no logs given".into());
     }
+    if let Some(out) = &json_path {
+        let is_input = logs.iter().any(|log| same_file(log, out));
+        if is_input || out.extension().is_some_and(|e| e == "jsonl") {
+            return Err(format!(
+                "refusing to write the runtime JSON over run-event log {}; \
+                 give --json a .json output path",
+                out.display()
+            ));
+        }
+    }
+    Ok(SummaryArgs {
+        logs,
+        json_path,
+        scrape_addr,
+    })
+}
+
+/// Whether `a` and `b` name the same file: equal as written, or
+/// resolving to the same existing file.
+fn same_file(a: &Path, b: &Path) -> bool {
+    a == b
+        || matches!(
+            (std::fs::canonicalize(a), std::fs::canonicalize(b)),
+            (Ok(x), Ok(y)) if x == y
+        )
+}
+
+fn summaries(args: &[String]) -> ExitCode {
+    let SummaryArgs {
+        logs,
+        json_path,
+        scrape_addr,
+    } = match parse_summary_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("trace_report: {e}");
+            return ExitCode::from(1);
+        }
+    };
 
     let scrape = match &scrape_addr {
         Some(addr) => match scrape_metrics(addr) {
@@ -354,4 +405,74 @@ fn diff(path_a: &Path, path_b: &Path) -> ExitCode {
 #[allow(clippy::cast_precision_loss)]
 fn to_f64(x: impl TryInto<u64>) -> f64 {
     x.try_into().map_or(f64::NAN, |v: u64| v as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<SummaryArgs, String> {
+        let args: Vec<String> = list.iter().map(|s| (*s).to_string()).collect();
+        parse_summary_args(&args)
+    }
+
+    #[test]
+    fn json_output_path_defaults_and_skips_flags() {
+        let default = Some(PathBuf::from("results/BENCH_runtime.json"));
+        let parsed = parse(&["a.jsonl", "b.jsonl", "--json"]).unwrap();
+        assert_eq!((parsed.logs.len(), parsed.json_path), (2, default.clone()));
+        // A flag right after --json is not taken as the output path.
+        let parsed = parse(&["a.jsonl", "--json", "--scrape", "h:1"]).unwrap();
+        assert_eq!(parsed.json_path, default);
+        assert_eq!(parsed.scrape_addr.as_deref(), Some("h:1"));
+        let parsed = parse(&["a.jsonl", "--json", "out.json"]).unwrap();
+        assert_eq!(parsed.json_path, Some(PathBuf::from("out.json")));
+        for bad in [&["--scrape"][..], &["a.jsonl", "--bogus"], &["--json"]] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn json_output_may_not_overwrite_a_log() {
+        // A leading --json swallows the first log as its output path.
+        assert!(parse(&["--json", "a.jsonl", "b.jsonl"]).is_err());
+        // An output path equal to an input log, whatever its extension.
+        assert!(parse(&["a.jsonl", "--json", "a.jsonl"]).is_err());
+        assert!(parse(&["run.log", "--json", "run.log"]).is_err());
+    }
+
+    #[test]
+    fn refused_output_leaves_the_log_untouched() {
+        use sacga::telemetry::{JsonlSink, Optimizer, Sink};
+        use sacga::{Sacga, SacgaConfig};
+
+        let dir = std::env::temp_dir().join(format!("trace_report_guard_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        // A replayable log, so only the guard stands between the summary
+        // pass and the write.
+        let log = dir.join("run.log");
+        let config = SacgaConfig::builder()
+            .population_size(8)
+            .generations(3)
+            .partitions(2)
+            .build()
+            .unwrap();
+        let mut sink = JsonlSink::create(&log).unwrap();
+        Sacga::new(moea::problems::Schaffer::new(), config)
+            .run_with(1, &mut sink)
+            .unwrap();
+        sink.flush().unwrap();
+        let before = std::fs::read(&log).unwrap();
+
+        // The same file spelled another way is still refused.
+        let aliased = dir.join("sub").join("..").join("run.log");
+        let args = [
+            log.display().to_string(),
+            "--json".into(),
+            aliased.display().to_string(),
+        ];
+        let _ = summaries(&args);
+        assert_eq!(std::fs::read(&log).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -17,8 +17,6 @@
 //!
 //! * [`partition`] — slicing the objective space into partitions along one
 //!   objective, inducing *local* competitions;
-//! * [`local`] — the pure local-competition GA of Sec. 4.3 (diverse but
-//!   slow to converge);
 //! * [`anneal`] — the simulated-annealing machinery of Sec. 4.4: the
 //!   promotion-cost function `c = k₁·e^(k₂·i/(n−1))`, the participation
 //!   probability `prob = 1 − e^(−α/(c·T_A))`, the cooling schedule
@@ -26,7 +24,10 @@
 //!   [`ProbabilityShaper`] that solves the
 //!   constants from target probabilities (reproducing Fig. 4);
 //! * [`sacga`] — the Simulated-Annealing-driven Competition GA: pure local
-//!   competition transitioning gradually into pure global competition;
+//!   competition transitioning gradually into pure global competition.
+//!   The pure local-competition GA of Sec. 4.3 (diverse but slow to
+//!   converge) is the same engine with promotion switched off:
+//!   [`CompetitionMode::LocalOnly`](sacga::CompetitionMode::LocalOnly);
 //! * [`mesacga`] — the Multi-phase Expanding-partitions SACGA of Sec. 4.5:
 //!   a cascade of SACGA phases with progressively fewer, larger partitions
 //!   (e.g. 20 → 13 → 8 → 5 → 3 → 2 → 1), removing the need to guess the
@@ -39,14 +40,16 @@
 //!   neighborhood [`topology`] (ring, torus, fully-connected,
 //!   small-world) that degenerates bit-for-bit to the [`island`] model
 //!   on a fully-connected graph;
-//! * [`checkpoint`] — plain-text run checkpoints: SACGA, MESACGA, and
-//!   steady-state runs can be suspended at any generation boundary
+//! * [`checkpoint`] — plain-text run checkpoints: SACGA, MESACGA,
+//!   steady-state and cellular runs can be suspended at any generation
+//!   boundary
 //!   ([`Sacga::run_until`](sacga::Sacga::run_until),
 //!   [`Mesacga::run_until`](mesacga::Mesacga::run_until)) and resumed
 //!   bit-identically, including across process restarts.
 //!
-//! All seven loops — [`moea::nsga2::Nsga2`], [`local`], [`sacga`],
-//! [`mesacga`], [`island`], [`steady`], [`cellular`] — implement the unified
+//! All six loops — [`moea::nsga2::Nsga2`], [`sacga`] (in either
+//! competition mode), [`mesacga`], [`island`], [`steady`], [`cellular`] —
+//! implement the unified
 //! [`Optimizer`] run API and emit the structured
 //! [`RunEvent`] stream of the [`telemetry`] module
 //! into composable [`Sink`]s.
@@ -86,7 +89,6 @@ pub mod anneal;
 pub mod cellular;
 pub mod checkpoint;
 pub mod island;
-pub mod local;
 pub mod mesacga;
 pub mod partition;
 pub mod prelude;

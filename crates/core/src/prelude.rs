@@ -1,4 +1,4 @@
-//! One-stop imports for driving any of the seven optimization loops
+//! One-stop imports for driving any of the six optimization loops
 //! through the unified [`Optimizer`] API with instrumentation attached.
 //!
 //! ```
@@ -25,7 +25,6 @@ pub use crate::checkpoint::{
     SteadyCheckpoint,
 };
 pub use crate::island::{IslandConfig, IslandGa};
-pub use crate::local::{LocalCompetitionGa, LocalCompetitionGaBuilder};
 pub use crate::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 pub use crate::sacga::{CompetitionMode, Sacga, SacgaConfig};
 pub use crate::steady::{SteadyConfig, SteadyConfigBuilder, SteadySacga};

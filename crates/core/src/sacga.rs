@@ -1154,9 +1154,31 @@ mod tests {
             .mode(CompetitionMode::LocalOnly)
             .build()
             .unwrap();
-        let r = Sacga::new(Schaffer::new(), cfg).run_seeded(8).unwrap();
+        let ga = Sacga::new(Schaffer::new(), cfg);
+        assert_eq!(ga.algorithm(), "local");
+        let mut sink = MemorySink::new();
+        let r = ga.run_with(8, &mut sink).unwrap();
         assert!(r.history.iter().all(|h| h.promoted == 0));
         assert!(!r.front.is_empty());
+        // The event stream never crosses a phase boundary or promotes,
+        // and still closes every generation.
+        assert!(!sink.events().iter().any(|e| matches!(
+            e,
+            RunEvent::PhaseTransition { .. } | RunEvent::Promotion { .. }
+        )));
+        let ends = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e, RunEvent::GenerationEnd { .. }))
+            .count();
+        assert_eq!(ends, 25);
+        assert_eq!(r.generations, 25);
+        // Seeded local-only runs are deterministic, and the sink never
+        // consumes RNG.
+        assert_eq!(
+            ga.run_seeded(8).unwrap().front_objectives(),
+            r.front_objectives()
+        );
     }
 
     #[test]

@@ -14,8 +14,9 @@ use super::sink::{NullSink, Sink};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoCheckpoint {}
 
-/// One run API for all five optimization loops (NSGA-II/TPG, local
-/// competition, SACGA, MESACGA, island model).
+/// One run API for all six optimization loops (NSGA-II/TPG, SACGA —
+/// whose `LocalOnly` mode is the local-competition GA — MESACGA,
+/// steady-state SACGA, the island model and the cellular GA).
 ///
 /// Every entry point exists in two forms: a `*_with` method taking a
 /// `&mut dyn Sink` that receives the structured [`RunEvent`] stream,
@@ -24,8 +25,9 @@ pub enum NoCheckpoint {}
 /// whichever form is used.
 ///
 /// Bounded runs (`run_until*` / `resume*`) are supported only by the
-/// checkpointable algorithms (SACGA, MESACGA, local competition); the
-/// others set [`Checkpoint`](Optimizer::Checkpoint) to [`NoCheckpoint`]
+/// checkpointable algorithms (SACGA in either competition mode, MESACGA,
+/// steady-state SACGA, cellular); the others (NSGA-II, island) set
+/// [`Checkpoint`](Optimizer::Checkpoint) to [`NoCheckpoint`]
 /// and reject `run_until` with
 /// [`OptimizeError::InvalidConfig`].
 pub trait Optimizer {

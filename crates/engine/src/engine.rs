@@ -8,7 +8,6 @@ use crate::screen::SurrogateScreen;
 use crate::session::EvaluationSession;
 use crate::shared::SharedCache;
 use crate::stats::EngineStats;
-use std::time::Instant;
 
 /// Configuration of an [`ExecutionEngine`].
 ///
@@ -220,44 +219,6 @@ impl<T: Clone + Send> ExecutionEngine<T> {
         self.metrics.as_ref()
     }
 
-    /// Whether any memoization layer (private or shared) is active.
-    fn caching_enabled(&self) -> bool {
-        self.shared.is_some() || self.config.cache.capacity > 0
-    }
-
-    /// Quantized key of `genes` under the active cache layer's grid,
-    /// after canonicalization (when a canonicalizer is installed).
-    fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        let canonical;
-        let genes = match self.canonicalize {
-            Some(f) => {
-                canonical = f(genes);
-                &canonical[..]
-            }
-            None => genes,
-        };
-        match &self.shared {
-            Some(shared) => shared.key_of(genes),
-            None => self.cache.key_of(genes),
-        }
-    }
-
-    /// Looks `key` up in the active cache layer.
-    fn cache_get(&mut self, key: &[i64]) -> Option<T> {
-        match &self.shared {
-            Some(shared) => shared.get(key),
-            None => self.cache.get(key),
-        }
-    }
-
-    /// Stores `value` in the active cache layer.
-    fn cache_put(&mut self, key: Vec<i64>, value: T) {
-        match &self.shared {
-            Some(shared) => shared.insert(key, value),
-            None => self.cache.insert(key, value),
-        }
-    }
-
     /// Drains the fault episodes resolved since the previous drain
     /// (recovered or quarantined candidates, in batch order). Run loops
     /// call this once per generation to forward the episodes into their
@@ -293,195 +254,18 @@ impl<T: Clone + Send> ExecutionEngine<T> {
     pub fn into_stats(self) -> EngineStats {
         self.stats
     }
+}
 
+impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
     /// Evaluates a batch of gene vectors, returning results in input
     /// order.
     ///
     /// With caching enabled, previously seen candidates (and duplicates
     /// within the batch) are answered from the cache; only genuinely new
-    /// candidates reach `eval`. Without a cache this is a pure fan-out
-    /// through the configured evaluator.
-    pub fn evaluate_batch<F>(&mut self, batch: &[Vec<f64>], eval: &F) -> Vec<T>
-    where
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        self.evaluate_batch_with(batch, eval, &|chunk: &[Vec<f64>]| {
-            chunk.iter().map(|genes| eval(genes)).collect()
-        })
-    }
-
-    /// [`evaluate_batch`](ExecutionEngine::evaluate_batch) with an
-    /// explicit batch kernel.
-    ///
-    /// `batch_eval` must be observationally identical to mapping `eval`
-    /// over the chunk (same values, bit for bit) — it exists so problems
-    /// with a struct-of-arrays fast path can evaluate a whole miss set in
-    /// one call. The kernel is used only under the serial evaluator; the
-    /// parallel evaluator keeps the per-candidate fan-out so a batch
-    /// still spreads across threads.
-    pub fn evaluate_batch_with<F, B>(
-        &mut self,
-        batch: &[Vec<f64>],
-        eval: &F,
-        batch_eval: &B,
-    ) -> Vec<T>
-    where
-        F: Fn(&[f64]) -> T + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<T>,
-    {
-        self.stats.candidates += batch.len() as u64;
-        self.stats.batches += 1;
-        self.stats.max_batch = self.stats.max_batch.max(batch.len() as u64);
-        if let Some(m) = &self.metrics {
-            m.candidates.add(batch.len() as u64);
-            #[allow(clippy::cast_precision_loss)]
-            m.batch_size.observe(batch.len() as f64);
-        }
-
-        if !self.caching_enabled() {
-            let (values, _screened) = self.run_values_with(batch, eval, batch_eval);
-            return values;
-        }
-
-        // Resolve each candidate to a cached result or a miss slot. A
-        // candidate whose key already appeared earlier in this batch is
-        // also a hit: it aliases the earlier miss's future result.
-        let mut resolved: Vec<Option<T>> = Vec::with_capacity(batch.len());
-        resolved.resize_with(batch.len(), || None);
-        let mut miss_genes: Vec<Vec<f64>> = Vec::new();
-        let mut miss_keys: Vec<Vec<i64>> = Vec::new();
-        // position in batch -> index into miss_genes
-        let mut miss_of: Vec<Option<usize>> = vec![None; batch.len()];
-        let mut pending: std::collections::HashMap<Vec<i64>, usize> =
-            std::collections::HashMap::new();
-
-        let hits_before = self.stats.cache_hits;
-        for (i, genes) in batch.iter().enumerate() {
-            let key = self.cache_key(genes);
-            if let Some(value) = self.cache_get(&key) {
-                self.stats.cache_hits += 1;
-                resolved[i] = Some(value);
-            } else if let Some(&m) = pending.get(&key) {
-                self.stats.cache_hits += 1;
-                miss_of[i] = Some(m);
-            } else {
-                let m = miss_genes.len();
-                miss_genes.push(genes.clone());
-                pending.insert(key.clone(), m);
-                miss_keys.push(key);
-                miss_of[i] = Some(m);
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.cache_hits.add(self.stats.cache_hits - hits_before);
-        }
-
-        let (miss_results, screened) = self.run_values_with(&miss_genes, eval, batch_eval);
-
-        for ((key, value), &was_screened) in miss_keys
-            .into_iter()
-            .zip(miss_results.iter())
-            .zip(&screened)
-        {
-            if !was_screened {
-                self.cache_put(key, value.clone());
-            }
-        }
-
-        resolved
-            .into_iter()
-            .zip(miss_of)
-            .map(|(hit, miss)| match (hit, miss) {
-                (Some(v), _) => v,
-                (None, Some(m)) => miss_results[m].clone(),
-                (None, None) => unreachable!("every candidate is a hit or a miss"),
-            })
-            .collect()
-    }
-
-    /// Evaluates a miss set for the plain (non-fault-tolerant) path:
-    /// screened candidates are answered by the surrogate, the rest go
-    /// through the batch kernel (serial evaluator) or the scalar fan-out
-    /// (parallel evaluators). Returns values in miss order plus the
-    /// screened mask (screened values must not be cached).
-    fn run_values_with<F, B>(
-        &mut self,
-        miss: &[Vec<f64>],
-        eval: &F,
-        batch_eval: &B,
-    ) -> (Vec<T>, Vec<bool>)
-    where
-        F: Fn(&[f64]) -> T + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<T>,
-    {
-        let mut slots: Vec<Option<T>> = vec![None; miss.len()];
-        let mut screened = vec![false; miss.len()];
-        if let Some(screen) = self.screen.clone() {
-            for (i, genes) in miss.iter().enumerate() {
-                if let Some(value) = screen.screen(genes) {
-                    self.stats.screened += 1;
-                    screened[i] = true;
-                    slots[i] = Some(value);
-                }
-            }
-        }
-        let live: Vec<usize> = (0..miss.len()).filter(|&i| !screened[i]).collect();
-        self.stats.evaluations += live.len() as u64;
-        if let Some(m) = &self.metrics {
-            m.screened.add((miss.len() - live.len()) as u64);
-            m.evaluations.add(live.len() as u64);
-        }
-        let serial = matches!(self.config.evaluator, EvaluatorKind::Serial);
-        let t0 = Instant::now();
-        if live.len() == miss.len() {
-            // Nothing screened: evaluate the miss set in place.
-            let values = if serial {
-                batch_eval(miss)
-            } else {
-                self.config.evaluator.eval_batch(eval, miss)
-            };
-            let dt = t0.elapsed();
-            self.stats.eval_time += dt;
-            observe_amortized(self.metrics.as_ref(), dt, live.len());
-            assert_eq!(
-                values.len(),
-                miss.len(),
-                "batch kernel mis-sized its output"
-            );
-            return (values, screened);
-        }
-        let live_genes: Vec<Vec<f64>> = live.iter().map(|&i| miss[i].clone()).collect();
-        let values = if serial {
-            batch_eval(&live_genes)
-        } else {
-            self.config.evaluator.eval_batch(eval, &live_genes)
-        };
-        let dt = t0.elapsed();
-        self.stats.eval_time += dt;
-        observe_amortized(self.metrics.as_ref(), dt, live.len());
-        assert_eq!(
-            values.len(),
-            live_genes.len(),
-            "batch kernel mis-sized its output"
-        );
-        for (&i, value) in live.iter().zip(values) {
-            slots[i] = Some(value);
-        }
-        let out = slots
-            .into_iter()
-            .map(|slot| slot.expect("every miss slot is screened or evaluated"))
-            .collect();
-        (out, screened)
-    }
-}
-
-impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
-    /// Fault-tolerant variant of
-    /// [`evaluate_batch`](ExecutionEngine::evaluate_batch): every
-    /// candidate is evaluated under the configured [`FaultPolicy`]
-    /// (panics contained, bounded retries, optional quarantine of
-    /// non-finite results) with faults injected when the configuration
-    /// carries a [`FaultPlan`].
+    /// candidates reach `eval`. Every candidate is evaluated under the
+    /// configured [`FaultPolicy`] (panics contained, bounded retries,
+    /// optional quarantine of non-finite results) with faults injected
+    /// when the configuration carries a [`FaultPlan`].
     ///
     /// Returns the results in input order, or the first [`EvalFailure`]
     /// (by batch position) when a candidate exhausts its retry budget
@@ -579,7 +363,9 @@ mod tests {
         let calls = AtomicU64::new(0);
         let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(EngineConfig::default());
         let batch = vec![vec![1.0], vec![1.0], vec![2.0]];
-        let out = engine.evaluate_batch(&batch, &counted_sum(&calls));
+        let out = engine
+            .try_evaluate_batch(&batch, &counted_sum(&calls))
+            .unwrap();
         assert_eq!(out, vec![1.0, 1.0, 2.0]);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
         assert_eq!(engine.stats().candidates, 3);
@@ -597,8 +383,8 @@ mod tests {
         let f = counted_sum(&calls);
         let b1 = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
         let b2 = vec![vec![3.0, 4.0], vec![5.0, 6.0]];
-        assert_eq!(engine.evaluate_batch(&b1, &f), vec![3.0, 7.0]);
-        assert_eq!(engine.evaluate_batch(&b2, &f), vec![7.0, 11.0]);
+        assert_eq!(engine.try_evaluate_batch(&b1, &f).unwrap(), vec![3.0, 7.0]);
+        assert_eq!(engine.try_evaluate_batch(&b2, &f).unwrap(), vec![7.0, 11.0]);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
         assert_eq!(engine.stats().cache_hits, 1);
         assert_eq!(engine.stats().evaluations, 3);
@@ -612,7 +398,9 @@ mod tests {
         let mut engine: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().cache_capacity(16));
         let batch = vec![vec![1.0], vec![1.0], vec![1.0], vec![2.0]];
-        let out = engine.evaluate_batch(&batch, &counted_sum(&calls));
+        let out = engine
+            .try_evaluate_batch(&batch, &counted_sum(&calls))
+            .unwrap();
         assert_eq!(out, vec![1.0, 1.0, 1.0, 2.0]);
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(engine.stats().cache_hits, 2);
@@ -627,8 +415,8 @@ mod tests {
         let f = |genes: &[f64]| genes.iter().map(|x| x * x).sum::<f64>();
         let batch: Vec<Vec<f64>> = (0..40).map(|i| vec![(i % 10) as f64, 0.5]).collect();
         assert_eq!(
-            serial.evaluate_batch(&batch, &f),
-            parallel.evaluate_batch(&batch, &f)
+            serial.try_evaluate_batch(&batch, &f).unwrap(),
+            parallel.try_evaluate_batch(&batch, &f).unwrap()
         );
         assert_eq!(serial.stats().evaluations, parallel.stats().evaluations);
         assert_eq!(serial.stats().cache_hits, parallel.stats().cache_hits);
@@ -648,10 +436,10 @@ mod tests {
         let batch: Vec<Vec<f64>> = (0..12).map(|i| vec![(i % 4) as f64]).collect();
 
         // Results are identical whether the cache is private or shared.
-        let expect = private.evaluate_batch(&batch, &f);
-        assert_eq!(shared_a.evaluate_batch(&batch, &f), expect);
+        let expect = private.try_evaluate_batch(&batch, &f).unwrap();
+        assert_eq!(shared_a.try_evaluate_batch(&batch, &f).unwrap(), expect);
         // A second engine on the same store is answered entirely from it.
-        assert_eq!(shared_b.evaluate_batch(&batch, &f), expect);
+        assert_eq!(shared_b.try_evaluate_batch(&batch, &f).unwrap(), expect);
         assert_eq!(shared_b.stats().evaluations, 0);
         assert_eq!(shared_b.stats().cache_hits, batch.len() as u64);
         // Per-run attribution: each engine counted only its own hits.
@@ -673,7 +461,9 @@ mod tests {
         engine.attach_shared_cache(crate::SharedCache::with_capacity(8));
         let calls = AtomicU64::new(0);
         let batch = vec![vec![1.0], vec![1.0], vec![1.0]];
-        let out = engine.evaluate_batch(&batch, &counted_sum(&calls));
+        let out = engine
+            .try_evaluate_batch(&batch, &counted_sum(&calls))
+            .unwrap();
         assert_eq!(out, vec![1.0, 1.0, 1.0]);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(engine.stats().cache_hits, 2);
@@ -693,22 +483,6 @@ mod tests {
         assert_eq!(cfg.cache.grid, 1e-6);
         assert_eq!(cfg.fault.retry.max_attempts, 3);
         assert_eq!(cfg.inject.unwrap().panic_rate, 0.1);
-    }
-
-    #[test]
-    fn try_path_matches_plain_path_without_faults() {
-        let mut plain: ExecutionEngine<f64> =
-            ExecutionEngine::new(EngineConfig::default().cache_capacity(8));
-        let mut tried: ExecutionEngine<f64> =
-            ExecutionEngine::new(EngineConfig::default().cache_capacity(8));
-        let f = |genes: &[f64]| genes.iter().sum::<f64>();
-        let batch = vec![vec![1.0], vec![2.0], vec![1.0]];
-        let a = plain.evaluate_batch(&batch, &f);
-        let b = tried.try_evaluate_batch(&batch, &f).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(plain.stats().evaluations, tried.stats().evaluations);
-        assert_eq!(plain.stats().cache_hits, tried.stats().cache_hits);
-        assert_eq!(tried.stats().failures, 0);
     }
 
     #[test]
@@ -931,7 +705,7 @@ mod tests {
             ExecutionEngine::new(EngineConfig::default().cache_capacity(16));
         engine.set_cache_canonicalizer(snap);
         let batch = vec![vec![1.02], vec![0.97], vec![2.2]];
-        let out = engine.evaluate_batch(&batch, &eval);
+        let out = engine.try_evaluate_batch(&batch, &eval).unwrap();
         assert_eq!(out, vec![10.0, 10.0, 20.0]);
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(engine.stats().cache_hits, 1);

@@ -120,22 +120,6 @@ impl EvaluatorKind {
             }
         }
     }
-
-    /// Evaluates a batch with the selected strategy (input order
-    /// preserved).
-    pub fn eval_batch<T, F>(&self, eval: &F, batch: &[Vec<f64>]) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        match self {
-            EvaluatorKind::Serial => SerialEvaluator.eval_batch(eval, batch),
-            EvaluatorKind::Parallel => ParallelEvaluator::default().eval_batch(eval, batch),
-            EvaluatorKind::ParallelWith(n) => {
-                ParallelEvaluator::with_threads(*n).eval_batch(eval, batch)
-            }
-        }
-    }
 }
 
 impl From<SerialEvaluator> for EvaluatorKind {
@@ -209,10 +193,11 @@ mod tests {
 
     #[test]
     fn kind_dispatch_and_from() {
-        let b = batch(5);
-        let serial = EvaluatorKind::Serial.eval_batch(&sum, &b);
-        assert_eq!(EvaluatorKind::Parallel.eval_batch(&sum, &b), serial);
-        assert_eq!(EvaluatorKind::ParallelWith(2).eval_batch(&sum, &b), serial);
+        assert_eq!(EvaluatorKind::Serial.label(), SerialEvaluator.label());
+        assert_eq!(
+            EvaluatorKind::ParallelWith(2).label(),
+            ParallelEvaluator::default().label()
+        );
         assert_eq!(EvaluatorKind::from(SerialEvaluator), EvaluatorKind::Serial);
         assert_eq!(
             EvaluatorKind::from(ParallelEvaluator::default()),

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 //! Batched candidate evaluation for the genetic optimizers.
 //!
-//! Every run loop in this workspace — NSGA-II, SACGA, MESACGA, the
-//! local-competition GA and the island model — ultimately does the same
+//! Every run loop in this workspace — NSGA-II, SACGA (generational or
+//! steady-state, with or without promotion), MESACGA, the island model
+//! and the cellular GA — ultimately does the same
 //! thing: produce a batch of candidate gene vectors, evaluate each one
 //! against a (potentially expensive) circuit model, and feed the results
 //! back into selection. This crate owns that evaluation step end-to-end:
@@ -21,10 +22,9 @@
 //!   evaluations actually performed, cache hits, batch counts and sizes,
 //!   and wall-clock time spent inside evaluation.
 //! * [`ExecutionEngine`] — ties the three together behind one
-//!   [`evaluate_batch`](ExecutionEngine::evaluate_batch) call, configured
-//!   by an [`EngineConfig`]. Problems with a struct-of-arrays fast path
-//!   hand a batch kernel to
-//!   [`evaluate_batch_with`](ExecutionEngine::evaluate_batch_with) /
+//!   [`try_evaluate_batch`](ExecutionEngine::try_evaluate_batch) call,
+//!   configured by an [`EngineConfig`]. Problems with a struct-of-arrays
+//!   fast path hand a batch kernel to
 //!   [`try_evaluate_batch_with`](ExecutionEngine::try_evaluate_batch_with),
 //!   which must be bit-identical to the scalar closure; an opt-in
 //!   [`SurrogateScreen`] can answer obvious losers before the full model
@@ -38,8 +38,9 @@
 //!   candidates are submitted as selection produces them, evaluate out of
 //!   order on a worker pool, and drain back in deterministic submission
 //!   order — the engine API behind steady-state (asynchronous)
-//!   evolution. The one-shot batch calls are thin submit-all/drain-all
-//!   wrappers over it.
+//!   evolution. It is the only evaluation path: the one-shot batch
+//!   calls are thin submit-all/drain-all wrappers over it, so every
+//!   candidate is counted in one tally.
 //! * The fault layer — [`FaultPolicy`]/[`RetryPolicy`] contain evaluator
 //!   panics, retry within a bounded deterministic budget, and quarantine
 //!   non-finite results ([`Quarantine`]); per-candidate verdicts
@@ -67,7 +68,9 @@
 //! let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(config);
 //!
 //! let batch: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![1.0, 2.0]];
-//! let out = engine.evaluate_batch(&batch, &|genes: &[f64]| genes.iter().sum::<f64>());
+//! let out = engine
+//!     .try_evaluate_batch(&batch, &|genes: &[f64]| genes.iter().sum::<f64>())
+//!     .expect("no faults injected");
 //!
 //! assert_eq!(out, vec![3.0, 7.0, 3.0]);
 //! // The duplicate candidate was served from the cache:

@@ -1,16 +1,22 @@
 //! Shared evaluation-engine wiring for optimizer config builders.
 //!
-//! Every loop in the workspace — NSGA-II here, SACGA/MESACGA/local/island
-//! and the steady-state variant in the `sacga` crate — exposes the same
-//! engine knobs on its config builder: evaluator strategy, memoization
-//! capacity and grid, fault policy, fault injection, a pooled
-//! [`SharedCache`] and an opt-in [`SurrogateScreen`]. [`EngineSetup`]
+//! Every loop in the workspace — NSGA-II here; SACGA (including its
+//! local-only mode), MESACGA, the steady-state variant, the island model
+//! and the cellular GA in the `sacga` crate — exposes the same engine
+//! knobs on its config builder: evaluator strategy, memoization capacity
+//! and grid, fault policy, fault injection, a pooled [`SharedCache`], an
+//! opt-in [`SurrogateScreen`] and live [`EngineMetrics`]. [`EngineSetup`]
 //! owns that bundle once, so each builder stores one field and delegates
 //! its knob methods instead of duplicating the plumbing, and
 //! [`EngineSetup::build_engine`] performs the (previously copy-pasted)
 //! engine construction: config, pooled cache, the problem's cache
-//! canonicalizer, and the screen — in that order, identically for fresh
-//! and resumed runs.
+//! canonicalizer, the screen and the metrics — in that order,
+//! identically for fresh and resumed runs.
+//!
+//! Callers that configure many loops the same way (the optimization
+//! service builds one per job) assemble a single [`EngineSetup`] and hand
+//! it to whichever builder the job needs through its `engine_setup`
+//! method.
 
 use engine::{
     CacheCanonicalizer, CellSeries, EngineConfig, EngineMetrics, EvaluatorKind, ExecutionEngine,
@@ -162,7 +168,7 @@ mod tests {
         let mut exec = setup.build_engine(None);
         let batch = vec![vec![1.0], vec![1.0]];
         let eval = |g: &[f64]| Evaluation::new(vec![g[0]], vec![]);
-        let out = exec.evaluate_batch(&batch, &eval);
+        let out = exec.try_evaluate_batch(&batch, &eval).unwrap();
         assert_eq!(out[0].objectives(), &[1.0]);
         assert_eq!(exec.stats().cache_hits, 1, "cache capacity must be wired");
     }
@@ -175,8 +181,8 @@ mod tests {
         let mut a = setup.build_engine(None);
         let mut b = setup.build_engine(None);
         let eval = |g: &[f64]| Evaluation::new(vec![g[0]], vec![]);
-        a.evaluate_batch(&[vec![2.0]], &eval);
-        b.evaluate_batch(&[vec![2.0]], &eval);
+        a.try_evaluate_batch(&[vec![2.0]], &eval).unwrap();
+        b.try_evaluate_batch(&[vec![2.0]], &eval).unwrap();
         assert_eq!(b.stats().cache_hits, 1, "second engine must reuse the pool");
     }
 }

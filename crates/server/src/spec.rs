@@ -21,8 +21,9 @@ use analog_circuits::{DrivableLoadProblem, Spec};
 use engine::{EngineMetrics, FaultPlan, FaultPolicy, SharedCache, SurrogateScreen};
 use moea::nsga2::{Nsga2, Nsga2Config};
 use moea::problems::{BinhKorn, Constr, Schaffer, Srinivas, Tanaka, Zdt1, Zdt2, Zdt3};
+use moea::setup::EngineSetup;
 use moea::{Evaluation, Problem};
-use sacga::local::LocalCompetitionGaBuilder;
+use sacga::sacga::CompetitionMode;
 use sacga::{
     CellularConfig, CellularGa, DynOptimizer, IslandConfig, IslandGa, Mesacga, MesacgaConfig,
     Sacga, SacgaConfig, SteadyConfig, SteadySacga, Topology,
@@ -801,8 +802,12 @@ impl JobSpec {
 
     /// Instantiates the optimizer for this job, wiring in the tenant
     /// cache (when given), the fault-injection harness (when
-    /// `inject_nonfinite > 0`), and a live [`EngineMetrics`] bundle
-    /// (when given; observation only, results are unchanged).
+    /// `inject_nonfinite > 0`), the problem's surrogate screen (when
+    /// `screen` is set), and a live [`EngineMetrics`] bundle (when given;
+    /// observation only, results are unchanged). All four go into one
+    /// [`EngineSetup`] shared by every arm; a cache or screen is dropped
+    /// for arms that do not support one, as [`JobSpec::validate`]
+    /// rejects such specs.
     ///
     /// # Errors
     ///
@@ -815,72 +820,52 @@ impl JobSpec {
     ) -> Result<Box<dyn DynOptimizer>, ServerError> {
         let cfg_err = |e: moea::OptimizeError| ServerError::InvalidSpec(e.to_string());
         let problem = self.problem.build();
-        let plan = (self.inject_nonfinite > 0.0)
-            .then(|| FaultPlan::seeded(self.seed).nonfinite(self.inject_nonfinite));
-        let screen = self
+        let mut exec = EngineSetup::new();
+        if let Some(cache) = cache.filter(|_| self.algo.supports_shared_cache()) {
+            exec = exec.shared_cache(cache);
+        }
+        if self.inject_nonfinite > 0.0 {
+            let plan = FaultPlan::seeded(self.seed).nonfinite(self.inject_nonfinite);
+            exec = exec
+                .fault_policy(FaultPolicy::tolerant(3))
+                .inject_faults(plan);
+        }
+        if let Some(screen) = self
             .screen
             .then(|| self.problem.surrogate_screen())
-            .flatten();
+            .flatten()
+            .filter(|_| self.algo.supports_screen())
+        {
+            exec = exec.surrogate_screen(screen);
+        }
+        if let Some(metrics) = metrics {
+            exec = exec.metrics(metrics);
+        }
         match &self.algo {
-            AlgoSpec::Sacga { pop, gens, parts } => {
+            AlgoSpec::Sacga { pop, gens, parts } | AlgoSpec::Local { pop, gens, parts } => {
+                let mode = if matches!(self.algo, AlgoSpec::Local { .. }) {
+                    CompetitionMode::LocalOnly
+                } else {
+                    CompetitionMode::Annealed
+                };
                 let mut b = SacgaConfig::builder()
                     .population_size(*pop)
                     .generations(*gens)
-                    .partitions(*parts);
+                    .partitions(*parts)
+                    .mode(mode)
+                    .engine_setup(exec);
                 if let Some((lo, hi)) = self.problem.slice_range() {
                     b = b.slice_range(lo, hi);
-                }
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
                 }
                 Ok(Box::new(Sacga::new(problem, b.build().map_err(cfg_err)?)))
-            }
-            AlgoSpec::Local { pop, gens, parts } => {
-                let mut b = LocalCompetitionGaBuilder::new()
-                    .population_size(*pop)
-                    .generations(*gens)
-                    .partitions(*parts);
-                if let Some((lo, hi)) = self.problem.slice_range() {
-                    b = b.slice_range(lo, hi);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(b.build(problem).map_err(cfg_err)?))
             }
             AlgoSpec::Mesacga { pop, span } => {
                 let mut b = MesacgaConfig::builder()
                     .population_size(*pop)
-                    .paper_phases(*span);
+                    .paper_phases(*span)
+                    .engine_setup(exec);
                 if let Some((lo, hi)) = self.problem.slice_range() {
                     b = b.slice_range(lo, hi);
-                }
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
                 }
                 Ok(Box::new(Mesacga::new(problem, b.build().map_err(cfg_err)?)))
             }
@@ -896,21 +881,10 @@ impl JobSpec {
                     .generations(*gens)
                     .partitions(*parts)
                     .window(*window)
-                    .quantum(*quantum);
+                    .quantum(*quantum)
+                    .engine_setup(exec);
                 if let Some((lo, hi)) = self.problem.slice_range() {
                     b = b.slice_range(lo, hi);
-                }
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
                 }
                 Ok(Box::new(SteadySacga::new(
                     problem,
@@ -918,34 +892,18 @@ impl JobSpec {
                 )))
             }
             AlgoSpec::Nsga2 { pop, gens } => {
-                let mut b = Nsga2Config::builder()
+                let b = Nsga2Config::builder()
                     .population_size(*pop)
-                    .generations(*gens);
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
+                    .generations(*gens)
+                    .engine_setup(exec);
                 Ok(Box::new(Nsga2::new(problem, b.build().map_err(cfg_err)?)))
             }
             AlgoSpec::Island { pop, gens, islands } => {
-                let mut b = IslandConfig::builder()
+                let b = IslandConfig::builder()
                     .population_size(*pop)
                     .generations(*gens)
-                    .islands(*islands);
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
+                    .islands(*islands)
+                    .engine_setup(exec);
                 Ok(Box::new(IslandGa::new(
                     problem,
                     b.build().map_err(cfg_err)?,
@@ -964,26 +922,15 @@ impl JobSpec {
             } => {
                 let topology = topo.build(*cells, *radius, self.seed)?;
                 #[allow(clippy::cast_precision_loss)]
-                let mut b = CellularConfig::builder()
+                let b = CellularConfig::builder()
                     .population_size(*pop)
                     .generations(*gens)
                     .topology(topology)
                     .migration_interval(*interval)
                     .migrants(*migrants)
                     .openness(*open as f64 / 100.0)
-                    .anisotropy(*aniso as f64 / 100.0);
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
+                    .anisotropy(*aniso as f64 / 100.0)
+                    .engine_setup(exec);
                 Ok(Box::new(CellularGa::new(
                     problem,
                     b.build().map_err(cfg_err)?,
@@ -1210,11 +1157,45 @@ mod tests {
                 aniso: 50,
             },
         ];
+        let registry = engine::MetricsRegistry::new();
         for algo in arms {
             let spec = JobSpec::new("t", ProblemSpec::Schaffer, algo.clone(), 7);
             let opt = spec.build_optimizer(None, None).unwrap();
             let outcome = opt.run_dyn(7).unwrap();
             assert!(!outcome.front.is_empty(), "{}", algo.token());
+
+            // The shared engine setup reaches every arm's engine: fault
+            // injection, the metric bundle, and (where the arm supports
+            // one) the tenant cache.
+            let arm = algo.arm();
+            let metrics = EngineMetrics::register(&registry, &[("arm", arm)]);
+            let cache = algo
+                .supports_shared_cache()
+                .then(|| SharedCache::with_capacity(4096));
+            let outcome = spec
+                .clone()
+                .inject_nonfinite(0.2)
+                .build_optimizer(cache.clone(), Some(metrics.clone()))
+                .unwrap()
+                .run_dyn(7)
+                .unwrap();
+            let s = &outcome.stats;
+            assert!(s.injected_nonfinite > 0, "{arm}: no faults injected");
+            assert_eq!(metrics.fault_retries.get(), s.retries, "{arm}");
+            assert_eq!(
+                s.candidates,
+                s.evaluations + s.cache_hits + s.screened,
+                "{arm}: stats unbalanced"
+            );
+            assert_eq!(metrics.candidates.get(), s.candidates, "{arm}");
+            assert_eq!(
+                metrics.candidates.get(),
+                metrics.evaluations.get() + metrics.cache_hits.get() + metrics.screened.get(),
+                "{arm}: metrics unbalanced"
+            );
+            if let Some(cache) = cache {
+                assert!(cache.stats().inserts > 0, "{arm}: tenant cache unused");
+            }
         }
     }
 

@@ -445,7 +445,7 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
     // identical fronts, and that each bundle balances.
     use analog_dse::engine::{EngineMetrics, MetricsRegistry};
     use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
-    use analog_dse::sacga::local::LocalCompetitionGaBuilder;
+    use analog_dse::sacga::sacga::CompetitionMode;
     use analog_dse::sacga::{IslandConfig, IslandGa};
 
     let registry = MetricsRegistry::new();
@@ -458,14 +458,17 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
     };
 
     let local = |metrics: Option<EngineMetrics>| {
-        let mut b = LocalCompetitionGaBuilder::new()
+        let mut b = SacgaConfig::builder()
             .population_size(24)
             .generations(12)
-            .partitions(4);
+            .partitions(4)
+            .mode(CompetitionMode::LocalOnly);
         if let Some(m) = metrics {
             b = b.metrics(m);
         }
-        b.build(Schaffer::new()).unwrap().run_seeded(SEED).unwrap()
+        Sacga::new(Schaffer::new(), b.build().unwrap())
+            .run_seeded(SEED)
+            .unwrap()
     };
     let m = EngineMetrics::register(&registry, &[("arm", "local")]);
     assert_eq!(

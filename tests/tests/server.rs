@@ -170,6 +170,10 @@ fn preemption_determinism_across_all_loops() {
             },
         ),
         ("mesacga", AlgoSpec::Mesacga { pop: 16, span: 12 }),
+        (
+            "steady",
+            AlgoSpec::parse("steady:pop=16,gens=10,parts=4").unwrap(),
+        ),
         ("nsga2", AlgoSpec::Nsga2 { pop: 16, gens: 10 }),
         (
             "island",

@@ -7,9 +7,8 @@ use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problems::Schaffer;
 use analog_dse::moea::{RunOutcome, RunStatus};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
-use analog_dse::sacga::local::LocalCompetitionGaBuilder;
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
-use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::sacga::{CompetitionMode, Sacga, SacgaConfig};
 use analog_dse::sacga::telemetry::{
     EventKind, FaultRateAlarm, InfeasibilityAlarm, JsonlSink, MemorySink, MetricsSink, Optimizer,
     RunEvent, Sink, StallDetector, Tee,
@@ -109,14 +108,16 @@ fn all_five_algorithms_emit_one_generation_end_per_generation() {
         .iter()
         .all(|e| !matches!(e, RunEvent::PhaseTransition { .. })));
 
-    check_stream_invariants(
-        &LocalCompetitionGaBuilder::new()
+    check_stream_invariants(&Sacga::new(
+        Schaffer::new(),
+        SacgaConfig::builder()
             .population_size(20)
             .generations(12)
             .partitions(4)
-            .build(Schaffer::new())
+            .mode(CompetitionMode::LocalOnly)
+            .build()
             .unwrap(),
-    );
+    ));
 
     let (sacga_out, sacga_events) = check_stream_invariants(&Sacga::new(
         Schaffer::new(),
@@ -293,14 +294,16 @@ fn wants_short_circuits_across_all_five_loops() {
             .build()
             .unwrap(),
     ));
-    check_wants_short_circuit(
-        &LocalCompetitionGaBuilder::new()
+    check_wants_short_circuit(&Sacga::new(
+        Schaffer::new(),
+        SacgaConfig::builder()
             .population_size(20)
             .generations(10)
             .partitions(4)
-            .build(Schaffer::new())
+            .mode(CompetitionMode::LocalOnly)
+            .build()
             .unwrap(),
-    );
+    ));
     check_wants_short_circuit(&Sacga::new(
         Schaffer::new(),
         SacgaConfig::builder()
