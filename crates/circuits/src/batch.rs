@@ -1,25 +1,18 @@
 //! Struct-of-arrays batch decoding for generation-sized evaluation.
 //!
 //! The optimizer loops hand the execution engine whole generations at a
-//! time, and most of the per-candidate work outside the numerical circuit
+//! time, and part of the per-candidate work outside the numerical circuit
 //! analysis is *identical* for every candidate: gene-to-SI decoding walks
-//! the same 15 `(lo, hi, log)` ranges, quantization snaps to the same
-//! layout units, and the robustness sweep rebuilds the same nine
-//! corner/mismatch [`Process`](crate::process::Process) descriptions. This
-//! module restructures that work batch-wide:
-//!
-//! * [`DesignBatch`] decodes a `&[Vec<f64>]` generation into contiguous
-//!   per-parameter columns (one tight loop per parameter, with the range
-//!   constants hoisted out), quantizes column-wise, and gathers individual
-//!   [`DesignVector`]s on demand.
-//! * [`crate::yield_est::prepared_plan`] (used by the `evaluate_all`
-//!   overrides on [`crate::DrivableLoadProblem`] and
-//!   [`crate::IntegratorProblem`]) builds the corner/mismatch process
-//!   table once per batch instead of once per candidate.
+//! the same 15 `(lo, hi, log)` ranges and quantization snaps to the same
+//! layout units. [`DesignBatch`] decodes a `&[Vec<f64>]` generation into
+//! contiguous per-parameter columns (one tight loop per parameter, with
+//! the range constants hoisted out), quantizes column-wise, and gathers
+//! individual [`DesignVector`]s on demand. (The corner/mismatch process
+//! table is built once per problem, not per batch.)
 //!
 //! **Bit-identity contract.** Every decode here reuses the exact scalar
 //! building blocks (`sizing::map_gene`, `sizing::snap_to_unit`, the
-//! shared `evaluate_quantized` bodies), applied element-wise in the same order,
+//! shared evaluation bodies), applied element-wise in the same order,
 //! so the batch path produces byte-identical `Evaluation`s to the scalar
 //! path. The `batch_equivalence` proptest suite in `tests/` pins this.
 

@@ -21,11 +21,12 @@
 
 use crate::batch::DesignBatch;
 use crate::integrator::{self, ClockContext, IntegratorReport};
+use crate::opamp::{self, OpampReport};
 use crate::problem::IntegratorProblem;
 use crate::process::Process;
 use crate::sizing::{DesignVector, CL_RANGE, NUM_PARAMS};
 use crate::specs::Spec;
-use crate::yield_est::{self, SamplePoint};
+use crate::yield_est::NominalPlan;
 use moea::evaluation::{Evaluation, ViolationBuilder};
 use moea::individual::Individual;
 use moea::problem::{Bounds, Problem};
@@ -61,6 +62,7 @@ pub struct DrivableLoadProblem {
     spec: Spec,
     process: Process,
     clock: ClockContext,
+    plan: NominalPlan,
     bounds: Bounds,
     name: String,
 }
@@ -70,9 +72,11 @@ impl DrivableLoadProblem {
     /// and standard clock.
     pub fn new(spec: Spec) -> Self {
         let name = format!("integrator-drivable-load({})", spec.name);
+        let process = Process::nominal();
         DrivableLoadProblem {
             spec,
-            process: Process::nominal(),
+            plan: NominalPlan::new(&process),
+            process,
             clock: ClockContext::standard(),
             bounds: DesignVector::gene_bounds(),
             name,
@@ -81,6 +85,7 @@ impl DrivableLoadProblem {
 
     /// Replaces the process description.
     pub fn with_process(mut self, process: Process) -> Self {
+        self.plan = NominalPlan::new(&process);
         self.process = process;
         self
     }
@@ -127,7 +132,16 @@ impl DrivableLoadProblem {
     ///
     /// Returns the load together with the report *at* that load.
     pub fn drivable_load(&self, dv: &DesignVector) -> Option<(f64, IntegratorReport)> {
-        let at = |cl: f64| integrator::analyze(&dv.with_cl(cl), &self.process, &self.clock);
+        self.load_search(dv, &opamp::analyze(dv, &self.process))
+    }
+
+    /// [`drivable_load`](Self::drivable_load) around the op-amp solved
+    /// for `dv`. The op-amp does not depend on the load, so every probe
+    /// shares the one solve.
+    fn load_search(&self, dv: &DesignVector, amp: &OpampReport) -> Option<(f64, IntegratorReport)> {
+        let at = |cl: f64| {
+            integrator::analyze_with_amp(&dv.with_cl(cl), amp, &self.process, &self.clock)
+        };
         let report_max = at(CL_RANGE.1);
         if self.load_ok(&report_max) {
             return Some((CL_RANGE.1, report_max));
@@ -161,14 +175,26 @@ impl DrivableLoadProblem {
         Some((lo, best))
     }
 
+    /// The design's claimed operating point from one op-amp solve: the
+    /// drivable load and the report there, or `0.0` and the minimum-load
+    /// report when nothing is drivable.
+    fn operating_point(&self, dv: &DesignVector) -> (f64, IntegratorReport) {
+        let amp = opamp::analyze(dv, &self.process);
+        self.load_search(dv, &amp).unwrap_or_else(|| {
+            // Cannot drive even the minimum load: grade the violations at
+            // the minimum load so the GA has a gradient toward
+            // drivability.
+            let at_min = dv.with_cl(CL_RANGE.0);
+            let report = integrator::analyze_with_amp(&at_min, &amp, &self.process, &self.clock);
+            (0.0, report)
+        })
+    }
+
     /// Full diagnostic report at the drivable load (minimum-load report
     /// when nothing is drivable).
     pub fn report(&self, genes: &[f64]) -> IntegratorReport {
         let dv = DesignVector::from_sizing_genes(genes).quantize();
-        match self.drivable_load(&dv) {
-            Some((_, r)) => r,
-            None => integrator::analyze(&dv.with_cl(CL_RANGE.0), &self.process, &self.clock),
-        }
+        self.operating_point(&dv).1
     }
 
     /// Converts internal objectives to the paper axes; delegates to
@@ -189,40 +215,26 @@ impl DrivableLoadProblem {
         (-CL_RANGE.1, 0.0)
     }
 
-    /// Evaluates one already-decoded, already-quantized design against a
-    /// pre-built robustness sample table.
+    /// Evaluates one already-decoded, already-quantized design.
     ///
     /// This is the single evaluation body shared by the scalar
     /// [`Problem::evaluate`] path and the batch kernel
-    /// ([`Problem::evaluate_all`]): the scalar path builds a fresh table
-    /// per call, the batch path builds it once per generation. Because
-    /// both paths execute this exact function, they are bit-for-bit
-    /// identical by construction.
-    pub(crate) fn evaluate_quantized(
-        &self,
-        dv: &DesignVector,
-        plan: &[(SamplePoint, Process)],
-    ) -> Evaluation {
+    /// ([`Problem::evaluate_all`]), so the two are bit-for-bit identical
+    /// by construction. It costs one op-amp solve for an unbiased design
+    /// and nine for a biased one: the load search and the TT robustness
+    /// sample share the nominal solve, and the eight off-nominal samples
+    /// solve their own.
+    fn evaluate_quantized(&self, dv: &DesignVector) -> Evaluation {
         let spec = &self.spec;
 
-        let (cl, report) = match self.drivable_load(dv) {
-            Some((cl, report)) => (cl, report),
-            None => {
-                // Cannot drive even the minimum load: grade the violations
-                // at the minimum load so the GA has a gradient toward
-                // drivability.
-                let report =
-                    integrator::analyze(&dv.with_cl(CL_RANGE.0), &self.process, &self.clock);
-                (0.0, report)
-            }
-        };
+        let (cl, report) = self.operating_point(dv);
         let drivable = cl > 0.0;
 
         // Robustness at the claimed operating point (full, unmargined
         // spec): corner headroom must come from the LOAD_MARGIN.
         let dv_at = dv.with_cl(if drivable { cl } else { CL_RANGE.0 });
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(&dv_at, plan, &self.clock, spec).0
+            self.plan.robustness(&dv_at, &report, &self.clock, spec)
         } else {
             0.0
         };
@@ -286,17 +298,15 @@ impl Problem for DrivableLoadProblem {
         // Designs are evaluated as they would be drawn: unit fingers, unit
         // capacitors, bias-DAC steps (see [`DesignVector::quantize`]).
         let dv = DesignVector::from_sizing_genes(x).quantize();
-        self.evaluate_quantized(&dv, &yield_est::prepared_plan(&self.process))
+        self.evaluate_quantized(&dv)
     }
 
     fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
         // Struct-of-arrays fast path: decode the whole generation into
-        // contiguous per-parameter columns, quantize column-wise, and hoist
-        // the corner/mismatch process table out of the per-candidate loop.
+        // contiguous per-parameter columns and quantize column-wise.
         let db = DesignBatch::decode_sizing(batch).quantize();
-        let plan = yield_est::prepared_plan(&self.process);
         (0..db.len())
-            .map(|i| self.evaluate_quantized(&db.design(i), &plan))
+            .map(|i| self.evaluate_quantized(&db.design(i)))
             .collect()
     }
 
@@ -308,6 +318,228 @@ impl Problem for DrivableLoadProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opamp::SOLVES;
+    use crate::process::Corner;
+    use crate::yield_est;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The load search as it was before the op-amp solve was hoisted: a
+    /// full [`integrator::analyze`] at every probe load. The reference the
+    /// hoisted search must match bit for bit.
+    fn reference_drivable_load(
+        p: &DrivableLoadProblem,
+        dv: &DesignVector,
+    ) -> Option<(f64, IntegratorReport)> {
+        let at = |cl: f64| integrator::analyze(&dv.with_cl(cl), &p.process, &p.clock);
+        let report_max = at(CL_RANGE.1);
+        if p.load_ok(&report_max) {
+            return Some((CL_RANGE.1, report_max));
+        }
+        const SCAN: usize = 8;
+        let step = (CL_RANGE.1 - CL_RANGE.0) / SCAN as f64;
+        let mut anchor: Option<(f64, IntegratorReport)> = None;
+        let mut infeasible_above = CL_RANGE.1;
+        for k in (0..SCAN).rev() {
+            let cl = CL_RANGE.0 + k as f64 * step;
+            let r = at(cl);
+            if p.load_ok(&r) {
+                anchor = Some((cl, r));
+                break;
+            }
+            infeasible_above = cl;
+        }
+        let (mut lo, mut best) = anchor?;
+        let mut hi = infeasible_above;
+        for _ in 0..BISECTION_STEPS {
+            let mid = 0.5 * (lo + hi);
+            let r = at(mid);
+            if p.load_ok(&r) {
+                lo = mid;
+                best = r;
+            } else {
+                hi = mid;
+            }
+        }
+        Some((lo, best))
+    }
+
+    /// The minimum-load fallback of the reference evaluation.
+    fn reference_operating_point(
+        p: &DrivableLoadProblem,
+        dv: &DesignVector,
+    ) -> (f64, IntegratorReport) {
+        reference_drivable_load(p, dv).unwrap_or_else(|| {
+            let report = integrator::analyze(&dv.with_cl(CL_RANGE.0), &p.process, &p.clock);
+            (0.0, report)
+        })
+    }
+
+    /// The evaluation body as it was before the hoist: per-probe load
+    /// search, a sample plan built per call, and every robustness sample
+    /// (TT included) analyzed afresh.
+    fn reference_evaluate(p: &DrivableLoadProblem, genes: &[f64]) -> Evaluation {
+        let dv = DesignVector::from_sizing_genes(genes).quantize();
+        let plan = yield_est::prepared_plan(&p.process);
+        let spec = &p.spec;
+        let (cl, report) = reference_operating_point(p, &dv);
+        let drivable = cl > 0.0;
+        let dv_at = dv.with_cl(if drivable { cl } else { CL_RANGE.0 });
+        let robustness = if report.is_biased() {
+            yield_est::robustness_prepared(&dv_at, &plan, &p.clock, spec).0
+        } else {
+            0.0
+        };
+        let mut v = ViolationBuilder::new();
+        v.at_least(report.dynamic_range_db, spec.dr_min_db);
+        v.at_least(report.output_range, spec.or_min_v);
+        if drivable {
+            v.require(true).require(true).require(true);
+        } else {
+            v.at_most(report.settling_time, LOAD_MARGIN * spec.st_max);
+            v.at_most(report.settling_error, LOAD_MARGIN * spec.se_max);
+            v.at_least(report.p2, STABILITY_RATIO * report.omega_c);
+        }
+        v.at_most(report.area, spec.area_max);
+        v.at_least(report.opamp.sat_margin, spec.sat_margin_min);
+        v.at_most(report.opamp.systematic_offset, 2e-3);
+        v.at_least(robustness, spec.robustness_min);
+        Evaluation::new(vec![-cl, report.power], v.finish())
+    }
+
+    /// Exact rendering for bit-for-bit comparisons: `f64`'s `Debug` is the
+    /// shortest round-tripping form and keeps the sign of zero.
+    fn exact<T: std::fmt::Debug>(x: &T) -> String {
+        format!("{x:?}")
+    }
+
+    /// A seeded sweep of raw sizing genes: the box corners, a tail that
+    /// cannot carry its current (no bias point), and `n` perturbations of
+    /// the reference sizing by up to ±0.2 per gene, wide enough that every
+    /// load-search outcome (top, bisect, none) occurs.
+    fn gene_sweep(n: usize) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(13);
+        let base = DesignVector::reference().to_genes();
+        let mut starved = base.clone();
+        starved[4] = 0.0; // w5
+        starved[5] = 1.0; // l5
+        starved[10] = 1.0; // itail
+        let mut sweep = vec![vec![0.0; NUM_PARAMS], vec![1.0; NUM_PARAMS], starved];
+        sweep.extend((0..n).map(|_| {
+            base.iter()
+                .map(|g| (g + 0.4 * (rng.gen::<f64>() - 0.5)).clamp(0.0, 1.0))
+                .collect()
+        }));
+        sweep
+    }
+
+    fn corner_problems() -> Vec<DrivableLoadProblem> {
+        Corner::ALL
+            .iter()
+            .map(|&c| {
+                DrivableLoadProblem::new(Spec::featured())
+                    .with_process(Process::nominal().at_corner(c))
+            })
+            .collect()
+    }
+
+    /// Op-amp solves `f` runs on this thread.
+    fn solves<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = SOLVES.with(|n| n.get());
+        let out = f();
+        (out, SOLVES.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn opamp_solve_does_not_read_the_load() {
+        // The precondition of solving the op-amp once per load search.
+        let loads = [
+            CL_RANGE.0,
+            0.5e-12,
+            0.5 * (CL_RANGE.0 + CL_RANGE.1),
+            3.7e-12,
+            CL_RANGE.1,
+        ];
+        let mut designs = vec![DesignVector::reference()];
+        designs.extend(
+            gene_sweep(24)
+                .iter()
+                .map(|g| DesignVector::from_sizing_genes(g).quantize()),
+        );
+        for c in Corner::ALL {
+            let process = Process::nominal().at_corner(c);
+            for dv in &designs {
+                let first = exact(&opamp::analyze(&dv.with_cl(loads[0]), &process));
+                for &cl in &loads[1..] {
+                    assert_eq!(
+                        exact(&opamp::analyze(&dv.with_cl(cl), &process)),
+                        first,
+                        "op-amp solve moved with the load at {c}, C_L = {cl}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_search_matches_the_per_probe_reference() {
+        let sweep = gene_sweep(36);
+        for p in corner_problems() {
+            let (mut top, mut bisect, mut none) = (0, 0, 0);
+            let reference: Vec<Evaluation> =
+                sweep.iter().map(|g| reference_evaluate(&p, g)).collect();
+            for (genes, want) in sweep.iter().zip(&reference) {
+                let dv = DesignVector::from_sizing_genes(genes).quantize();
+                let expected_load = reference_drivable_load(&p, &dv);
+                match &expected_load {
+                    Some((cl, _)) if *cl >= CL_RANGE.1 => top += 1,
+                    Some(_) => bisect += 1,
+                    None => none += 1,
+                }
+                assert_eq!(exact(&p.drivable_load(&dv)), exact(&expected_load));
+                assert_eq!(exact(&p.evaluate(genes)), exact(want));
+                assert_eq!(
+                    exact(&p.report(genes)),
+                    exact(&reference_operating_point(&p, &dv).1)
+                );
+            }
+            assert_eq!(exact(&p.evaluate_all(&sweep)), exact(&reference));
+            assert!(
+                top > 0 && bisect > 0 && none > 0,
+                "sweep must cover every outcome: top {top}, bisect {bisect}, none {none}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_solve_per_unbiased_design_nine_per_biased() {
+        let sweep = gene_sweep(24);
+        let (mut biased, mut unbiased) = (0, 0);
+        for p in corner_problems() {
+            for genes in &sweep {
+                let dv = DesignVector::from_sizing_genes(genes).quantize();
+                let want = if opamp::analyze(&dv, p.process()).is_biased() {
+                    biased += 1;
+                    9
+                } else {
+                    unbiased += 1;
+                    1
+                };
+                assert_eq!(solves(|| p.evaluate(genes)).1, want);
+                assert_eq!(
+                    solves(|| p.evaluate_all(std::slice::from_ref(genes))).1,
+                    want
+                );
+                // The search and the minimum-load fallback share one solve.
+                assert_eq!(solves(|| p.report(genes)).1, 1);
+                assert_eq!(solves(|| p.drivable_load(&dv)).1, 1);
+            }
+        }
+        assert!(
+            biased > 0 && unbiased > 0,
+            "{biased} biased, {unbiased} unbiased"
+        );
+    }
 
     #[test]
     fn declares_15_vars_2_objs_9_constraints() {

@@ -108,8 +108,22 @@ impl IntegratorReport {
 /// report degrades gracefully (enormous ST/SE, zero DR) so constraint
 /// machinery can grade arbitrary GA candidates.
 pub fn analyze(dv: &DesignVector, process: &Process, clock: &ClockContext) -> IntegratorReport {
-    let amp = opamp::analyze(dv, process);
+    analyze_with_amp(dv, &opamp::analyze(dv, process), process, clock)
+}
 
+/// [`analyze`] around an op-amp already solved for `dv` in `process`.
+///
+/// The op-amp DC solve is nearly all of the cost of [`analyze`] and never
+/// reads the load `dv.cl`, so a caller sweeping the load of one sizing
+/// solves the op-amp once and passes it to every probe. `amp` must be
+/// `opamp::analyze(dv, process)` for a `dv` that differs from this one at
+/// most in `cl`; the report is then bit-for-bit that of [`analyze`].
+pub fn analyze_with_amp(
+    dv: &DesignVector,
+    amp: &OpampReport,
+    process: &Process,
+    clock: &ClockContext,
+) -> IntegratorReport {
     let cs = IntegratedCapacitor::new(dv.cs);
     let cf = IntegratedCapacitor::new(dv.cf);
     let coc = IntegratedCapacitor::new(dv.coc());
@@ -198,7 +212,7 @@ pub fn analyze(dv: &DesignVector, process: &Process, clock: &ClockContext) -> In
     let area = amp.area + cap_area;
 
     IntegratorReport {
-        opamp: amp,
+        opamp: amp.clone(),
         beta,
         cl_total,
         omega_c,

@@ -117,12 +117,21 @@ impl OpampReport {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Op-amp DC solves run on this thread, so tests can pin the exact
+    /// number of solves an evaluation costs.
+    pub(crate) static SOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Analyzes the two-stage op-amp described by `dv` in `process`.
 ///
 /// Never panics on bad sizing: hard bias failures are reported through
 /// [`OpampReport::fault`] with pessimistic values filled in so constraint
 /// machinery can still grade the design.
 pub fn analyze(dv: &DesignVector, process: &Process) -> OpampReport {
+    #[cfg(test)]
+    SOLVES.with(|n| n.set(n.get() + 1));
     let vdd = process.vdd;
     let vcm_in = dv.vcm_in;
     let vcm_out = 0.5 * vdd;

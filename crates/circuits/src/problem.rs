@@ -11,7 +11,7 @@ use crate::integrator::{self, ClockContext, IntegratorReport};
 use crate::process::Process;
 use crate::sizing::{DesignVector, NUM_PARAMS};
 use crate::specs::Spec;
-use crate::yield_est::{self, SamplePoint};
+use crate::yield_est::{self, NominalPlan};
 use moea::evaluation::{Evaluation, ViolationBuilder};
 use moea::individual::Individual;
 use moea::problem::{Bounds, Problem};
@@ -37,6 +37,7 @@ pub struct IntegratorProblem {
     spec: Spec,
     process: Process,
     clock: ClockContext,
+    plan: NominalPlan,
     bounds: Bounds,
     name: String,
 }
@@ -46,9 +47,11 @@ impl IntegratorProblem {
     /// standard clock.
     pub fn new(spec: Spec) -> Self {
         let name = format!("integrator-sizing({})", spec.name);
+        let process = Process::nominal();
         IntegratorProblem {
             spec,
-            process: Process::nominal(),
+            plan: NominalPlan::new(&process),
+            process,
             clock: ClockContext::standard(),
             bounds: DesignVector::gene_bounds(),
             name,
@@ -57,6 +60,7 @@ impl IntegratorProblem {
 
     /// Replaces the process description.
     pub fn with_process(mut self, process: Process) -> Self {
+        self.plan = NominalPlan::new(&process);
         self.process = process;
         self
     }
@@ -94,27 +98,21 @@ impl IntegratorProblem {
         yield_est::robustness(&dv, &self.process, &self.clock, &self.spec)
     }
 
-    /// Evaluates a decoded design (shared by [`Problem::evaluate`]).
+    /// Evaluates a decoded design.
+    ///
+    /// This is the single evaluation body shared by the scalar
+    /// [`Problem::evaluate`] path and the batch kernel
+    /// ([`Problem::evaluate_all`]), so the two are bit-for-bit identical
+    /// by construction. It costs one op-amp solve for an unbiased design
+    /// and nine for a biased one (the nominal point, whose report also
+    /// grades the TT robustness sample, plus eight off-nominal samples).
     pub fn evaluate_design(&self, dv: &DesignVector) -> Evaluation {
-        self.evaluate_design_prepared(dv, &yield_est::prepared_plan(&self.process))
-    }
-
-    /// Evaluates a decoded design against a pre-built robustness sample
-    /// table (see [`yield_est::prepared_plan`]). The scalar path builds a
-    /// fresh table per call; the batch kernel ([`Problem::evaluate_all`])
-    /// builds one per generation. Both paths execute this same body, so
-    /// they are bit-for-bit identical by construction.
-    pub(crate) fn evaluate_design_prepared(
-        &self,
-        dv: &DesignVector,
-        plan: &[(SamplePoint, Process)],
-    ) -> Evaluation {
         let report = integrator::analyze(dv, &self.process, &self.clock);
 
         // Robustness: skip the 8 extra corner analyses when the nominal
         // point is not even biased — it cannot pass anywhere.
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(dv, plan, &self.clock, &self.spec).0
+            self.plan.robustness(dv, &report, &self.clock, &self.spec)
         } else {
             0.0
         };
@@ -234,12 +232,10 @@ impl Problem for IntegratorProblem {
     }
 
     fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
-        // Struct-of-arrays fast path: column-wise gene decode plus one
-        // corner/mismatch process table for the whole generation.
+        // Struct-of-arrays fast path: column-wise gene decode.
         let db = DesignBatch::decode(batch);
-        let plan = yield_est::prepared_plan(&self.process);
         (0..db.len())
-            .map(|i| self.evaluate_design_prepared(&db.design(i), &plan))
+            .map(|i| self.evaluate_design(&db.design(i)))
             .collect()
     }
 }
@@ -359,6 +355,63 @@ mod tests {
         let fast = p.evaluate_all(&batch);
         let slow: Vec<_> = batch.iter().map(|g| p.evaluate(g)).collect();
         assert_eq!(fast, slow);
+    }
+
+    /// Seeded raw genes over the whole box, plus a tail that cannot
+    /// carry its current (no bias point).
+    fn gene_sweep() -> Vec<Vec<f64>> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut starved = reference_genes();
+        starved[4] = 0.0; // w5
+        starved[5] = 1.0; // l5
+        starved[10] = 1.0; // itail
+        let mut sweep = vec![reference_genes(), starved];
+        sweep.extend((0..24).map(|_| (0..NUM_PARAMS).map(|_| rng.gen::<f64>()).collect()));
+        sweep
+    }
+
+    #[test]
+    fn reused_nominal_sample_matches_a_fresh_robustness_table() {
+        use crate::process::Corner;
+        let sweep = gene_sweep();
+        for c in Corner::ALL {
+            let p = IntegratorProblem::new(Spec::relaxed())
+                .with_process(Process::nominal().at_corner(c));
+            let plan = yield_est::prepared_plan(p.process());
+            for genes in &sweep {
+                let dv = DesignVector::from_genes(genes);
+                let report = integrator::analyze(&dv, p.process(), p.clock());
+                let fresh = yield_est::robustness_prepared(&dv, &plan, p.clock(), p.spec()).0;
+                let reused = p.plan.robustness(&dv, &report, p.clock(), p.spec());
+                assert_eq!(fresh.to_bits(), reused.to_bits(), "at {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_solve_per_unbiased_design_nine_per_biased() {
+        let p = IntegratorProblem::new(Spec::featured());
+        let (mut biased, mut unbiased) = (0, 0);
+        for genes in gene_sweep() {
+            let want = if p.report(&genes).is_biased() {
+                biased += 1;
+                9
+            } else {
+                unbiased += 1;
+                1
+            };
+            let before = crate::opamp::SOLVES.with(|n| n.get());
+            p.evaluate(&genes);
+            p.evaluate_all(&[genes]);
+            let spent = crate::opamp::SOLVES.with(|n| n.get()) - before;
+            assert_eq!(spent, 2 * want);
+        }
+        assert!(
+            biased > 0 && unbiased > 0,
+            "{biased} biased, {unbiased} unbiased"
+        );
     }
 
     #[test]

@@ -77,7 +77,49 @@ pub struct Process {
     pub l_min: f64,
 }
 
+impl TransistorParams {
+    fn bits(&self) -> [u64; 11] {
+        let TransistorParams {
+            vt0,
+            kp,
+            esat,
+            lambda,
+            theta1,
+            theta2,
+            vk,
+            c_overlap,
+            cj,
+            cjsw,
+            l_diff,
+        } = *self;
+        [
+            vt0, kp, esat, lambda, theta1, theta2, vk, c_overlap, cj, cjsw, l_diff,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
 impl Process {
+    /// Every parameter's bit pattern. Processes with equal bits give
+    /// bit-identical analyses, which `==` cannot promise (`-0.0 == 0.0`).
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        let Process {
+            vdd,
+            cox,
+            nmos,
+            pmos,
+            cap_density,
+            bottom_plate_fraction,
+            l_min,
+        } = *self;
+        let mut bits: Vec<u64> = [vdd, cox, cap_density, bottom_plate_fraction, l_min]
+            .map(f64::to_bits)
+            .to_vec();
+        bits.extend(nmos.bits());
+        bits.extend(pmos.bits());
+        bits
+    }
+
     /// The nominal (typical-typical) synthetic 0.18 µm process.
     pub fn nominal() -> Self {
         // C_ox = eps_ox / t_ox = 3.45e-11 F/m / 4.1e-9 m ≈ 8.4 mF/m².

@@ -84,9 +84,8 @@ pub fn passes_performance(report: &IntegratorReport, spec: &Spec) -> bool {
 
 /// The [`sample_plan`] with the skewed [`Process`] of every sample point
 /// already built. Deriving the nine corner/mismatch process descriptions
-/// is design-independent, so a batch sweep prepares this table once and
-/// amortizes it across every candidate in the generation; the scalar path
-/// uses the identical table so both paths are bit-for-bit interchangeable.
+/// is design-independent, so a problem prepares this table once, when it
+/// is constructed, and reuses it for every candidate.
 pub fn prepared_plan(nominal: &Process) -> Vec<(SamplePoint, Process)> {
     sample_plan()
         .into_iter()
@@ -108,17 +107,66 @@ pub fn robustness_prepared(
     clock: &ClockContext,
     spec: &Spec,
 ) -> (f64, Vec<(SamplePoint, bool)>) {
+    graded(dv, plan, None, clock, spec)
+}
+
+/// Grades `dv` at every point of `plan`. `known` names one point whose
+/// report is already at hand; it is graded from that report instead of
+/// being analyzed again.
+fn graded(
+    dv: &DesignVector,
+    plan: &[(SamplePoint, Process)],
+    known: Option<(usize, &IntegratorReport)>,
+    clock: &ClockContext,
+    spec: &Spec,
+) -> (f64, Vec<(SamplePoint, bool)>) {
     let mut outcomes = Vec::with_capacity(plan.len());
     let mut passed = 0usize;
-    for (sp, process) in plan {
-        let report = integrator::analyze(dv, process, clock);
-        let ok = passes_performance(&report, spec);
+    for (i, (sp, process)) in plan.iter().enumerate() {
+        let ok = match known {
+            Some((k, report)) if k == i => passes_performance(report, spec),
+            _ => passes_performance(&integrator::analyze(dv, process, clock), spec),
+        };
         if ok {
             passed += 1;
         }
         outcomes.push((*sp, ok));
     }
     (passed as f64 / outcomes.len() as f64, outcomes)
+}
+
+/// A problem's robustness table: the [`prepared_plan`] of its nominal
+/// process, built once, plus the sample whose process *is* the nominal
+/// one bit for bit (TT at zero mismatch). The problem has already
+/// analyzed the design there, so that sample reuses its report and an
+/// evaluation costs one op-amp solve fewer.
+#[derive(Debug, Clone)]
+pub(crate) struct NominalPlan {
+    points: Vec<(SamplePoint, Process)>,
+    nominal: Option<usize>,
+}
+
+impl NominalPlan {
+    /// Prepares the table for `nominal`.
+    pub(crate) fn new(nominal: &Process) -> Self {
+        let points = prepared_plan(nominal);
+        let bits = nominal.bits();
+        let nominal = points.iter().position(|(_, p)| p.bits() == bits);
+        NominalPlan { points, nominal }
+    }
+
+    /// Robustness of `dv`, where `report` is `integrator::analyze(dv,
+    /// nominal, clock)`: the same fraction [`robustness_prepared`] returns.
+    pub(crate) fn robustness(
+        &self,
+        dv: &DesignVector,
+        report: &IntegratorReport,
+        clock: &ClockContext,
+        spec: &Spec,
+    ) -> f64 {
+        let known = self.nominal.map(|k| (k, report));
+        graded(dv, &self.points, known, clock, spec).0
+    }
 }
 
 /// Robustness of a design: the fraction of [`sample_plan`] points at which
@@ -193,6 +241,26 @@ mod tests {
         let (b, db) = robustness_detailed(&dv, &nominal, &clock, &spec);
         assert_eq!(a, b);
         assert_eq!(da, db);
+    }
+
+    #[test]
+    fn tt_at_zero_mismatch_is_the_nominal_process_bit_for_bit() {
+        // The precondition of grading the TT sample from the nominal report.
+        let nominal = Process::nominal();
+        let mut processes = vec![nominal];
+        processes.extend(Corner::ALL.iter().map(|&c| nominal.at_corner(c)));
+        for p in processes {
+            let tt = p.at_corner(Corner::Tt).with_mismatch(0.0, 0.0, 0.0);
+            assert_eq!(tt.bits(), p.bits());
+            let same: Vec<usize> = prepared_plan(&p)
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, q))| q.bits() == p.bits())
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(same.len(), 1, "plan points equal to the nominal: {same:?}");
+            assert_eq!(NominalPlan::new(&p).nominal, Some(same[0]));
+        }
     }
 
     #[test]
