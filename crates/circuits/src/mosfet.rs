@@ -50,6 +50,212 @@ pub fn effective_overdrive(vov: f64) -> f64 {
     scale * q
 }
 
+/// Lowest gate bias [`Mosfet::vgs_for_current`] searches (V), well into
+/// subthreshold.
+const VGS_FLOOR: f64 = 0.01;
+
+/// Bisection steps that define [`Mosfet::vgs_for_current`]:
+/// `|hi − lo| < 2 V / 2^44 ≈ 1e-13 V`, far below any physical meaning.
+const BISECTION_STEPS: usize = 44;
+
+/// Lower half-width of the guard band around [`Mosfet::mobility_kink`]
+/// (V). Below `kink − KINK_GUARD_BELOW` the mobility factor of eqn (1) is
+/// exactly 1, and with mobility fixed the model rises with `V_GS` in every
+/// region. The computed argument `V_GS + V_T − V_K` is off by a few ulp of
+/// 2 V (≲ 1e-15 V), so there it stays ≤ 0 and is clamped to 0. Nearer the
+/// kink, a rounding-positive argument of 1e-15 V would already cut the
+/// current by `θ₁·(1e-15)^(1/3) ≈ 3e-6`.
+const KINK_GUARD_BELOW: f64 = 1e-6;
+
+/// Upper half-width of the guard band around [`Mosfet::mobility_kink`]
+/// (V). Just above the kink, the mobility term `θ₁·x^(1/3)` of eqn (1)
+/// (`x = V_GS − kink`) has log-slope `θ₁/(3x^(2/3))`, unbounded as
+/// `x → 0`, so `id` dips until that falls below the log-slope of the rest
+/// of the model. At the kink the device is in weak or moderate inversion
+/// (`V_ov = V_K − 2V_T ≤ 0.02 V` at every corner, even with 30 mV of
+/// threshold mismatch), where the rest rises at ≥ 18 V⁻¹; with
+/// `θ₁ ≤ 0.3 V⁻¹` the fall is over by `x = (θ₁/54)^(3/2) ≈ 4e-4 V`
+/// (measured over 20k random devices, corners, mismatch and `V_DS`: at
+/// most 0.35 mV, and back to the current at the kink within 1.8 mV). At
+/// `x = 10 mV` the mobility log-slope is ≤ 2.2 V⁻¹, an eighth of the rest.
+/// Above the band `id` is non-decreasing again, which
+/// `current_is_non_decreasing_outside_the_kink_guard_band` pins.
+pub const KINK_GUARD_ABOVE: f64 = 1e-2;
+
+/// Highest gate bias at which the solver certifies signs (V). Above the
+/// kink's band, `id` keeps rising while the log-slope of `V_ov²` outgrows
+/// those of the mobility and velocity-saturation terms. That holds over the
+/// supply range: every caller passes `vgs_max = V_DD = 1.8 V`, and the
+/// measured log-slope of `id` stays ≥ 0.47 V⁻¹ up to 2 V. It does not hold
+/// without bound, since the PMOS `θ₂·x²` term eventually wins. Midpoints
+/// above this bias are evaluated.
+const CERTIFIED_VGS_MAX: f64 = 2.0;
+
+/// Distance (V) beyond an evaluated point at which a [`MonotonePiece`]
+/// takes the sign of `f = id − target` as certified. `id` is about 30
+/// floating-point operations, so its computed value is within
+/// ε ≲ 20 · 2^-53 ≈ 2.2e-15 (relative) of exact, and its inputs round by
+/// under 1e-15 V. Where the exact `id` rises, two computed values can be
+/// misordered only if the exact values differ by < 2ε relative, that is
+/// within `2ε / (d ln id / dV_GS) ≤ 4.4e-15 / 0.47 ≈ 9.4e-15 V` of each
+/// other. This margin is twice that worst case, and 18× the widest sign
+/// inversion measured next to 40k random roots (1.1e-15 V).
+const SIGN_MARGIN: f64 = 2e-14;
+
+/// Width (V) to which a [`MonotonePiece`] narrows its bracket. About a
+/// tenth of the bisection's final interval, so the replay evaluates about
+/// one midpoint after the narrowing.
+const BRACKET_WIDTH: f64 = 1e-14;
+
+/// Cap on the Illinois steps of one narrowing (≈ 15 are needed at worst).
+/// Signs are only ever certified from evaluated points, so stopping early
+/// would cost evaluations, never bits.
+const MAX_NARROW_STEPS: usize = 64;
+
+#[cfg(test)]
+thread_local! {
+    /// `id` evaluations [`Mosfet::vgs_for_current`] runs on this thread, so
+    /// tests can pin the solver's exact work.
+    pub(crate) static ID_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// One stretch `[start, end]` of the [`Mosfet::vgs_for_current`] search
+/// range on which `id` is non-decreasing in `V_GS`, with the evaluated
+/// points of `f = id − target` closest to the target from each side.
+///
+/// A point of the piece more than [`SIGN_MARGIN`] below an evaluated
+/// `f < 0` point has `f < 0` too, and one more than `SIGN_MARGIN` above an
+/// evaluated `f ≥ 0` point has `f ≥ 0`: evaluating it would give the sign
+/// the bisection computed. The first time a midpoint is not settled so,
+/// the piece completes its bracket from its own ends and narrows it to
+/// [`BRACKET_WIDTH`], after which nearly every midpoint is certified.
+struct MonotonePiece {
+    start: f64,
+    end: f64,
+    target: f64,
+    /// Largest evaluated point with `f < 0`, and `f` there.
+    below: Option<(f64, f64)>,
+    /// Smallest evaluated point with `f ≥ 0`, and `f` there.
+    above: Option<(f64, f64)>,
+    /// Whether the one bracket-and-narrow pass has run.
+    narrowed: bool,
+}
+
+impl MonotonePiece {
+    fn new(start: f64, end: f64, target: f64) -> Self {
+        MonotonePiece {
+            start,
+            end,
+            target,
+            below: None,
+            above: None,
+            narrowed: false,
+        }
+    }
+
+    fn contains(&self, x: f64) -> bool {
+        self.start <= x && x <= self.end
+    }
+
+    /// Keeps `(x, f(x))` if it is the closest evaluated point yet on its
+    /// side of the target.
+    fn record(&mut self, x: f64, fx: f64) {
+        if fx < 0.0 {
+            if self.below.is_none_or(|(a, _)| x > a) {
+                self.below = Some((x, fx));
+            }
+        } else if self.above.is_none_or(|(b, _)| x < b) {
+            self.above = Some((x, fx));
+        }
+    }
+
+    /// `Some(f(x) < 0)` when the evaluated points settle it.
+    fn certified(&self, x: f64) -> Option<bool> {
+        match (self.below, self.above) {
+            (Some((a, _)), _) if x < a - SIGN_MARGIN => Some(true),
+            (_, Some((b, _))) if x > b + SIGN_MARGIN => Some(false),
+            _ => None,
+        }
+    }
+
+    /// `f(x) < 0` for a point `x` of the piece, exactly as evaluating
+    /// `f(x)` would answer.
+    fn is_below(&mut self, x: f64, f: &impl Fn(f64) -> f64) -> bool {
+        if let Some(below) = self.certified(x) {
+            return below;
+        }
+        if !self.narrowed {
+            self.narrowed = true;
+            // A piece's end settles the whole piece on its side, or gives
+            // the bracket its missing side.
+            if self.below.is_none() {
+                self.record(self.start, f(self.start));
+            }
+            if self.above.is_none() {
+                self.record(self.end, f(self.end));
+            }
+            if let (Some(a), Some(b)) = (self.below, self.above) {
+                self.narrow(a, b, f);
+            }
+            if let Some(below) = self.certified(x) {
+                return below;
+            }
+        }
+        let fx = f(x);
+        self.record(x, fx);
+        fx < 0.0
+    }
+
+    /// Illinois iteration (regula falsi that halves the stale end's value
+    /// when the same end moves twice) on the bracket `a < b`,
+    /// `f(a) < 0 ≤ f(b)`, recording every point it evaluates.
+    ///
+    /// The secant runs on `ln(id / target)`, which is linear in `V_GS` in
+    /// subthreshold and gently curved above it; on `f` itself regula falsi
+    /// crawls across the exponential. Each point is kept half a
+    /// [`BRACKET_WIDTH`] inside the bracket, so once one end is within
+    /// rounding of the root (where the secant lands on that end), the next
+    /// step closes the bracket.
+    fn narrow(
+        &mut self,
+        (mut a, fa): (f64, f64),
+        (mut b, fb): (f64, f64),
+        f: &impl Fn(f64) -> f64,
+    ) {
+        let target = self.target;
+        let log = |fv: f64| (fv / target).ln_1p();
+        let (mut ga, mut gb) = (log(fa), log(fb));
+        let mut last_moved_a = None;
+        for _ in 0..MAX_NARROW_STEPS {
+            if b - a <= BRACKET_WIDTH {
+                break;
+            }
+            let secant = a - ga * (b - a) / (gb - ga);
+            let x = if secant.is_nan() {
+                0.5 * (a + b)
+            } else {
+                secant.clamp(a + 0.5 * BRACKET_WIDTH, b - 0.5 * BRACKET_WIDTH)
+            };
+            let fx = f(x);
+            self.record(x, fx);
+            let moved_a = fx < 0.0;
+            if moved_a {
+                (a, ga) = (x, log(fx));
+            } else {
+                (b, gb) = (x, log(fx));
+            }
+            if last_moved_a == Some(moved_a) {
+                if moved_a {
+                    gb *= 0.5;
+                } else {
+                    ga *= 0.5;
+                }
+            }
+            last_moved_a = Some(moved_a);
+        }
+    }
+}
+
 /// Operating regions of a MOSFET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
@@ -115,17 +321,19 @@ impl Mosfet {
     /// the velocity-saturation-reduced effective overdrive, floored at the
     /// weak-inversion saturation voltage `≈ 3V_T`.
     pub fn vdsat(&self, process: &Process, vov: f64) -> f64 {
-        let vov_eff = effective_overdrive(vov);
-        let esat_l = self.params(process).esat * self.l;
+        self.vdsat_eff(self.params(process), effective_overdrive(vov))
+    }
+
+    /// [`Mosfet::vdsat`] from an already computed effective overdrive.
+    fn vdsat_eff(&self, p: &TransistorParams, vov_eff: f64) -> f64 {
+        let esat_l = p.esat * self.l;
         (vov_eff / (1.0 + vov_eff / esat_l)).max(3.0 * V_THERMAL)
     }
 
     /// Saturation drain current per eqn (1) with the EKV inversion
-    /// interpolation, *without* channel-length modulation (A).
-    fn id_sat_core(&self, process: &Process, vgs: f64) -> f64 {
-        let p = self.params(process);
-        let vov = vgs - p.vt0;
-        let vov_eff = effective_overdrive(vov);
+    /// interpolation, *without* channel-length modulation (A), from the
+    /// effective overdrive `vov_eff` of `vgs`.
+    fn id_sat_core(&self, p: &TransistorParams, vgs: f64, vov_eff: f64) -> f64 {
         if vov_eff <= 0.0 {
             return 0.0;
         }
@@ -187,9 +395,10 @@ impl Mosfet {
         if vds <= 0.0 {
             return 0.0;
         }
-        let vdsat = self.vdsat(process, vov);
+        let vov_eff = effective_overdrive(vov);
+        let vdsat = self.vdsat_eff(p, vov_eff);
         let lambda = self.lambda_eff(process);
-        let core = self.id_sat_core(process, vgs);
+        let core = self.id_sat_core(p, vgs, vov_eff);
         if vds >= vdsat {
             core * (1.0 + lambda * (vds - vdsat))
         } else {
@@ -199,9 +408,28 @@ impl Mosfet {
         }
     }
 
+    /// Gate bias at which mobility degradation sets in (V): the argument
+    /// `V_GS + V_T − V_K` of eqn (1)'s mobility term is zero at
+    /// `V_GS = V_K − V_T`, and the mobility factor is exactly 1 below it.
+    pub fn mobility_kink(&self, process: &Process) -> f64 {
+        let p = self.params(process);
+        p.vk - p.vt0
+    }
+
     /// Solves for the `V_GS` magnitude that conducts `target_id` in
-    /// saturation at `vds` (bisection; `None` when the device cannot carry
-    /// the current below `vgs_max`).
+    /// saturation at `vds` (`None` when the device cannot carry the current
+    /// below `vgs_max`).
+    ///
+    /// The answer is defined as the result of a 44-step bisection on
+    /// `[0.01 V, vgs_max]`. `id` is not monotone in `V_GS` just above
+    /// [`Mosfet::mobility_kink`], so `id = target` can have three roots
+    /// there and the bisection's path picks one. The solver replays that
+    /// path exactly, but evaluates `id` only at the midpoints whose side of
+    /// the target it cannot certify: on either side of the kink's guard
+    /// band `id` is non-decreasing, and a bracket narrowed by an Illinois
+    /// iteration settles every midpoint outside it (see `MonotonePiece`).
+    /// The result is bit-identical to the plain bisection at about a third
+    /// of the `id` evaluations.
     pub fn vgs_for_current(
         &self,
         process: &Process,
@@ -212,22 +440,45 @@ impl Mosfet {
         if target_id <= 0.0 {
             return Some(self.vt(process));
         }
-        let f = |vgs: f64| self.id(process, vgs, vds) - target_id;
-        let lo0 = 0.01; // well into subthreshold
-        if f(vgs_max) < 0.0 {
+        let f = |vgs: f64| {
+            #[cfg(test)]
+            ID_EVALS.with(|n| n.set(n.get() + 1));
+            self.id(process, vgs, vds) - target_id
+        };
+        let f_max = f(vgs_max);
+        if f_max < 0.0 {
             return None;
         }
-        if f(lo0) > 0.0 {
+        let f_floor = f(VGS_FLOOR);
+        if f_floor > 0.0 {
             // Even deep subthreshold leaks more than the target: report the
             // smallest representable bias.
-            return Some(lo0);
+            return Some(VGS_FLOOR);
         }
-        let (mut lo, mut hi) = (lo0, vgs_max);
-        // 44 bisection steps: |hi - lo| < 2 V / 2^44 ~ 1e-13 V, far below
-        // any physical meaning, at half the cost of excess precision.
-        for _ in 0..44 {
+        let kink = self.mobility_kink(process);
+        let mut pieces = [
+            MonotonePiece::new(VGS_FLOOR, kink - KINK_GUARD_BELOW, target_id),
+            MonotonePiece::new(
+                kink + KINK_GUARD_ABOVE,
+                vgs_max.min(CERTIFIED_VGS_MAX),
+                target_id,
+            ),
+        ];
+        for (x, fx) in [(VGS_FLOOR, f_floor), (vgs_max, f_max)] {
+            if let Some(piece) = pieces.iter_mut().find(|p| p.contains(x)) {
+                piece.record(x, fx);
+            }
+        }
+        let (mut lo, mut hi) = (VGS_FLOOR, vgs_max);
+        for _ in 0..BISECTION_STEPS {
             let mid = 0.5 * (lo + hi);
-            if f(mid) < 0.0 {
+            let below = match pieces.iter_mut().find(|p| p.contains(mid)) {
+                Some(piece) => piece.is_below(mid, &f),
+                // In the kink's guard band (or above `CERTIFIED_VGS_MAX`):
+                // always evaluated.
+                None => f(mid) < 0.0,
+            };
+            if below {
                 lo = mid;
             } else {
                 hi = mid;
@@ -263,7 +514,10 @@ impl Mosfet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::Process;
+    use crate::process::{Corner, Process};
+    use crate::sizing::PARAM_RANGES;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn nmos() -> Mosfet {
         Mosfet::new(DeviceType::Nmos, 10e-6, 0.5e-6)
@@ -494,5 +748,228 @@ mod tests {
         let vdsat = m.vdsat(&p, 0.9 - m.vt(&p));
         let op = m.operating_point(&p, 0.9, vdsat * 0.5);
         assert_eq!(op.region, Region::Triode);
+    }
+
+    /// The solver as it was before the replay: the plain 44-step
+    /// bisection whose answer `vgs_for_current` must reproduce bit for bit.
+    fn bisection_reference(
+        m: &Mosfet,
+        process: &Process,
+        target_id: f64,
+        vds: f64,
+        vgs_max: f64,
+    ) -> Option<f64> {
+        if target_id <= 0.0 {
+            return Some(m.vt(process));
+        }
+        let f = |vgs: f64| m.id(process, vgs, vds) - target_id;
+        if f(vgs_max) < 0.0 {
+            return None;
+        }
+        if f(VGS_FLOOR) > 0.0 {
+            return Some(VGS_FLOOR);
+        }
+        let (mut lo, mut hi) = (VGS_FLOOR, vgs_max);
+        for _ in 0..BISECTION_STEPS {
+            let mid = 0.5 * (lo + hi);
+            if f(mid) < 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(0.5 * (lo + hi))
+    }
+
+    /// `id` evaluations `f` runs through `vgs_for_current` on this thread.
+    fn id_evals<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ID_EVALS.with(|n| n.get());
+        let out = f();
+        (out, ID_EVALS.with(|n| n.get()) - before)
+    }
+
+    fn log_uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+        (lo.ln() + rng.gen::<f64>() * (hi.ln() - lo.ln())).exp()
+    }
+
+    /// A device drawn over the gene box: W over every width range
+    /// (1–1000 µm), L over every length range, either polarity.
+    fn random_device(rng: &mut StdRng) -> Mosfet {
+        // Widths are genes 0, 2, …, 8 and lengths genes 1, 3, …, 9.
+        let span = |genes: [usize; 5]| {
+            genes.iter().fold((f64::MAX, 0.0f64), |(lo, hi), &i| {
+                (lo.min(PARAM_RANGES[i].0), hi.max(PARAM_RANGES[i].1))
+            })
+        };
+        let (w_lo, w_hi) = span([0, 2, 4, 6, 8]);
+        let (l_lo, l_hi) = span([1, 3, 5, 7, 9]);
+        let device = if rng.gen_bool(0.5) {
+            DeviceType::Nmos
+        } else {
+            DeviceType::Pmos
+        };
+        Mosfet::new(
+            device,
+            log_uniform(rng, w_lo, w_hi),
+            log_uniform(rng, l_lo, l_hi),
+        )
+    }
+
+    /// A random corner with random threshold and mobility mismatch.
+    fn random_process(rng: &mut StdRng) -> Process {
+        let corner = Corner::ALL[rng.gen_range(0..Corner::ALL.len())];
+        Process::nominal().at_corner(corner).with_mismatch(
+            rng.gen_range(-0.03..0.03),
+            rng.gen_range(-0.03..0.03),
+            rng.gen_range(-0.1..0.1),
+        )
+    }
+
+    /// Solves `solves` seeded problems with both solvers and asserts equal
+    /// bits (`None` and `Some(0.01)` included). A third of the targets are
+    /// the current within ±1 mV of the mobility kink, where `id` is not
+    /// monotone; the rest are log-uniform from far below the subthreshold
+    /// floor to beyond any device's reach. Returns the `None` and
+    /// `Some(0.01)` answers, and the solves that ran the bisection with
+    /// their `id` evaluations.
+    fn differential_sweep(seed: u64, solves: usize) -> SweepTally {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tally = SweepTally::default();
+        for i in 0..solves {
+            let m = random_device(&mut rng);
+            let p = random_process(&mut rng);
+            let vds = rng.gen_range(0.005..1.8);
+            let vgs_max = if rng.gen_bool(0.75) {
+                p.vdd
+            } else {
+                rng.gen_range(0.2..p.vdd)
+            };
+            let target = if i % 3 == 0 {
+                let kink = m.mobility_kink(&p);
+                m.id(&p, kink + rng.gen_range(-1e-3..1e-3), vds)
+            } else {
+                log_uniform(&mut rng, 1e-13, 1e-1)
+            };
+            let want = bisection_reference(&m, &p, target, vds, vgs_max);
+            let (got, n) = id_evals(|| m.vgs_for_current(&p, target, vds, vgs_max));
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{m:?} target {target:e} vds {vds} vgs_max {vgs_max} in {p:?}: \
+                 {got:?} vs bisection {want:?}"
+            );
+            match want {
+                None => tally.unreachable += 1,
+                Some(VGS_FLOOR) => tally.floor += 1,
+                Some(_) => {
+                    tally.rooted += 1;
+                    tally.evals += n;
+                }
+            }
+        }
+        tally
+    }
+
+    #[derive(Default)]
+    struct SweepTally {
+        unreachable: u64,
+        floor: u64,
+        rooted: u64,
+        evals: u64,
+    }
+
+    impl SweepTally {
+        fn evals_per_rooted_solve(&self) -> f64 {
+            self.evals as f64 / self.rooted as f64
+        }
+    }
+
+    #[test]
+    fn replay_matches_the_bisection_bit_for_bit() {
+        let tally = differential_sweep(0x5eed_0044, 20_000);
+        assert!(tally.unreachable > 1_000 && tally.floor > 1_000);
+        assert!(tally.rooted > 10_000);
+        // The bisection spends 46 evaluations on every solve with a root.
+        let mean = tally.evals_per_rooted_solve();
+        assert!(mean <= 20.0, "{mean:.2} id evaluations per solve");
+    }
+
+    /// The 500k-solve version of the differential sweep; run with
+    /// `cargo test --release -p analog-circuits -- --ignored`.
+    #[test]
+    #[ignore = "500k solves: run in release with --ignored"]
+    fn replay_matches_the_bisection_bit_for_bit_large() {
+        let mean = differential_sweep(0x5eed_0500, 500_000).evals_per_rooted_solve();
+        assert!(mean <= 20.0, "{mean:.2} id evaluations per solve");
+    }
+
+    #[test]
+    fn three_root_pmos_case_returns_the_bisection_root() {
+        // `id = target` has three roots within 1 mV of the kink here: one
+        // just below it, two inside the dip just above it. A plain Illinois
+        // iteration lands on 0.35041189267803896 V, not the bisection's
+        // root.
+        let p = Process::nominal();
+        let m = Mosfet::new(
+            DeviceType::Pmos,
+            251.9533120593454e-6,
+            0.6790362024344584e-6,
+        );
+        let (target, vds) = (2.6455214279883602e-6, 0.6);
+        let kink = m.mobility_kink(&p);
+        let signs: Vec<bool> = (-1000..=1000)
+            .map(|k| m.id(&p, kink + f64::from(k) * 1e-6, vds) >= target)
+            .collect();
+        let changes = signs.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(changes, 3, "id − target should change sign three times");
+        let want = bisection_reference(&m, &p, target, vds, p.vdd);
+        assert_eq!(want, Some(0.3495893160724275));
+        let got = m.vgs_for_current(&p, target, vds, p.vdd);
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+    }
+
+    #[test]
+    fn current_is_non_decreasing_outside_the_kink_guard_band() {
+        // The pieces `vgs_for_current` certifies signs on rest on this: on
+        // a 0.1 mV grid up to `CERTIFIED_VGS_MAX`, `id` never falls below
+        // `kink` or above `kink + KINK_GUARD_ABOVE`, for seeded devices at
+        // every corner.
+        let mut rng = StdRng::seed_from_u64(0x6b1e);
+        for _ in 0..6 {
+            let m = random_device(&mut rng);
+            let vds = rng.gen_range(0.005..1.8);
+            for corner in Corner::ALL {
+                let p = Process::nominal().at_corner(corner);
+                let kink = m.mobility_kink(&p);
+                let mut prev: Option<(bool, f64)> = None;
+                for k in 0..=19_900 {
+                    let vgs = VGS_FLOOR + f64::from(k) * 1e-4;
+                    if (kink..=kink + KINK_GUARD_ABOVE).contains(&vgs) {
+                        continue;
+                    }
+                    let above_kink = vgs > kink;
+                    let id = m.id(&p, vgs, vds);
+                    if let Some((side, last)) = prev {
+                        assert!(
+                            side != above_kink || id >= last,
+                            "{m:?} at {corner}: id fell to {id:e} at vgs {vgs}"
+                        );
+                    }
+                    prev = Some((above_kink, id));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_opamp_solve_costs_a_pinned_id_evaluation_count() {
+        let ((), evals) = id_evals(|| {
+            let _ = crate::opamp::analyze(
+                &crate::sizing::DesignVector::reference(),
+                &Process::nominal(),
+            );
+        });
+        // Five solves; the bisection spent 5 × 46 = 230.
+        assert_eq!(evals, 75);
     }
 }

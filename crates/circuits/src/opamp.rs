@@ -16,11 +16,12 @@
 //!        VSS ────┴───────────┴──────┴──────────
 //! ```
 //!
-//! The analysis solves the DC bias sequentially (bisection on the eqn (1)
-//! model), checks every transistor's operating region, and derives the
-//! small-signal quantities the integrator equations need: `g_m1`, `g_m6`,
-//! output resistances, node capacitances, DC gain, slew limits, swing,
-//! noise and power.
+//! The analysis solves the DC bias sequentially (each `V_GS` from the
+//! eqn (1) model by [`Mosfet::vgs_for_current`], whose answer is that of a
+//! fixed 44-step bisection), checks every transistor's operating region,
+//! and derives the small-signal quantities the integrator equations need:
+//! `g_m1`, `g_m6`, output resistances, node capacitances, DC gain, slew
+//! limits, swing, noise and power.
 
 use crate::capacitor::IntegratedCapacitor;
 use crate::mosfet::Mosfet;

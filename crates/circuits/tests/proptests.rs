@@ -1,7 +1,9 @@
 //! Property-based tests of the circuit-model invariants.
 
 use analog_circuits::integrator::{analyze, ClockContext};
-use analog_circuits::mosfet::{effective_overdrive, Mosfet, SLOPE_FACTOR, V_THERMAL};
+use analog_circuits::mosfet::{
+    effective_overdrive, Mosfet, KINK_GUARD_ABOVE, SLOPE_FACTOR, V_THERMAL,
+};
 use analog_circuits::process::{Corner, DeviceType, Process};
 use analog_circuits::sizing::DesignVector;
 use analog_circuits::{DrivableLoadProblem, IntegratorProblem, Spec};
@@ -31,14 +33,37 @@ proptest! {
     }
 
     #[test]
-    fn drain_current_monotone_in_vgs(m in device(), vds in 0.1f64..1.8) {
-        let p = Process::nominal();
-        let mut prev = -1.0;
-        for step in 0..20 {
-            let vgs = 0.1 + 0.08 * step as f64;
+    fn drain_current_monotone_in_vgs(
+        m in device(),
+        vds in 0.1f64..1.8,
+        corner in 0usize..Corner::ALL.len(),
+    ) {
+        // `id` dips just above the mobility kink (the θ₁·x^(1/3) term has
+        // infinite slope there), so it is monotone only on either side of
+        // the guard band `[kink, kink + KINK_GUARD_ABOVE]`. The grid is
+        // 20 mV steps plus 20 µV steps from 1 mV below the kink to 2 mV past
+        // the band, which samples inside the dip (≲ 0.4 mV wide).
+        let p = Process::nominal().at_corner(Corner::ALL[corner]);
+        let kink = m.mobility_kink(&p);
+        let band_end = kink + KINK_GUARD_ABOVE;
+        let mut grid: Vec<f64> = (0..=85).map(|k| 0.1 + 0.02 * f64::from(k)).collect();
+        grid.extend((0..=650).map(|k| kink - 1e-3 + 2e-5 * f64::from(k)));
+        grid.sort_by(f64::total_cmp);
+        let mut prev: Option<(bool, f64)> = None;
+        for vgs in grid {
             let id = m.id(&p, vgs, vds);
-            prop_assert!(id >= prev - 1e-15, "current fell as vgs rose");
-            prev = id;
+            prop_assert!(id.is_finite() && id > 0.0);
+            if (kink..=band_end).contains(&vgs) {
+                continue;
+            }
+            let above_band = vgs > band_end;
+            if let Some((side, last)) = prev {
+                prop_assert!(
+                    side != above_band || id >= last,
+                    "current fell to {id:e} at vgs {vgs} (kink {kink})"
+                );
+            }
+            prev = Some((above_band, id));
         }
     }
 
@@ -112,6 +137,32 @@ proptest! {
         prop_assert!(ev.objectives()[1] > 0.0, "power must be positive");
         prop_assert!(ev.objectives()[0] <= 0.0, "-CL must be non-positive");
         prop_assert!(ev.constraint_violations().iter().all(|v| *v >= 0.0));
+    }
+
+    #[test]
+    fn drivable_load_evaluations_are_finite_at_every_corner(
+        genes in prop::collection::vec(
+            prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0, 0.0f64..1.0],
+            15,
+        ),
+    ) {
+        // Anywhere in the gene box (its faces included), at every corner:
+        // no panic, and finite objectives and constraint violations for the
+        // optimizer to rank.
+        for corner in Corner::ALL {
+            let problem = DrivableLoadProblem::new(Spec::featured())
+                .with_process(Process::nominal().at_corner(corner));
+            let ev = problem.evaluate(&genes);
+            prop_assert!(problem.check_evaluation(&ev).is_ok());
+            prop_assert!(
+                ev.objectives().iter().all(|v| v.is_finite()),
+                "{corner}: objectives {:?}", ev.objectives()
+            );
+            prop_assert!(
+                ev.constraint_violations().iter().all(|v| v.is_finite() && *v >= 0.0),
+                "{corner}: violations {:?}", ev.constraint_violations()
+            );
+        }
     }
 
     #[test]
