@@ -11,6 +11,9 @@
 //! and `worker`. Registration is idempotent — asking for the same name,
 //! label set and type returns a handle to the same underlying cell, so a
 //! resumed job keeps incrementing the counters its first slice created.
+//! [`MetricsRegistry::retire`] folds the series of a finished label value
+//! (a completed job) into their label set without it, so a long-lived
+//! registry stays bounded however many jobs it has seen.
 //!
 //! [`MetricsRegistry::render_text`] emits a deterministic, sorted
 //! Prometheus-style text exposition (`# TYPE` headers, cumulative
@@ -100,6 +103,32 @@ impl HistogramCore {
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
+
+    fn add_sum(&self, v: f64) {
+        let mut cur = self.sum_bits.load(Ordering::Relaxed);
+        loop {
+            let next = (f64::from_bits(cur) + v).to_bits();
+            match self.sum_bits.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// Adds `other`'s buckets, count and sum into `self` (same bounds).
+    fn absorb(&self, other: &HistogramCore) {
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count
+            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.add_sum(f64::from_bits(other.sum_bits.load(Ordering::Relaxed)));
+    }
 }
 
 /// A fixed-bucket histogram. Cloning shares the underlying cells.
@@ -117,19 +146,7 @@ impl Histogram {
             .unwrap_or(core.bounds.len());
         core.buckets[slot].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        core.add_sum(v);
     }
 
     /// Records a duration in seconds.
@@ -152,20 +169,7 @@ impl Histogram {
         core.buckets[slot].fetch_add(n, Ordering::Relaxed);
         core.count.fetch_add(n, Ordering::Relaxed);
         #[allow(clippy::cast_precision_loss)]
-        let add = v * n as f64;
-        let mut cur = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + add).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        core.add_sum(v * n as f64);
     }
 
     /// Total observations.
@@ -341,6 +345,52 @@ impl MetricsRegistry {
                 "{name}: registered as {}, not histogram",
                 other.type_token()
             ),
+        }
+    }
+
+    /// Folds every series carrying `label="value"` into the same series
+    /// without that label: counters add, histograms add bucket-wise
+    /// (plus `_sum`/`_count`), gauges are dropped. Handles to the retired
+    /// series stay valid but no longer reach any snapshot, so retire a
+    /// label only once nothing records under it (e.g. a finished job).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a folded series meets an existing series of another
+    /// type, or a histogram with different bounds, under the same name.
+    pub fn retire(&self, label: &str, value: &str) {
+        let mut map = self.inner.lock().expect("metrics registry poisoned");
+        let retired: Vec<MetricKey> = map
+            .keys()
+            .filter(|(_, labels)| labels.iter().any(|(k, v)| k == label && v == value))
+            .cloned()
+            .collect();
+        for key in retired {
+            let metric = map.remove(&key).expect("key listed above");
+            let (name, mut labels) = key;
+            labels.retain(|(k, _)| k != label);
+            let folded = match &metric {
+                Metric::Gauge(_) => continue,
+                Metric::Counter(_) => Metric::Counter(Counter::default()),
+                Metric::Histogram(h) => {
+                    Metric::Histogram(Histogram(Arc::new(HistogramCore::new(h.bounds().to_vec()))))
+                }
+            };
+            match (map.entry((name.clone(), labels)).or_insert(folded), &metric) {
+                (Metric::Counter(into), Metric::Counter(c)) => into.add(c.get()),
+                (Metric::Histogram(into), Metric::Histogram(h)) => {
+                    assert!(
+                        into.bounds() == h.bounds(),
+                        "{name}: histogram folded into one with different bounds"
+                    );
+                    into.0.absorb(&h.0);
+                }
+                (into, _) => panic!(
+                    "{name}: cannot fold a {} into a {}",
+                    metric.type_token(),
+                    into.type_token()
+                ),
+            }
         }
     }
 
@@ -806,6 +856,55 @@ mod tests {
         let b = render(&["dse_m3_total", "dse_m1_total", "dse_m2_total"]);
         assert_eq!(a, b);
         assert!(a.contains("dse_m2_total{stage=\"eval\"} 3"));
+    }
+
+    #[test]
+    fn retire_folds_counters_and_histograms_and_drops_gauges() {
+        let reg = MetricsRegistry::new();
+        let bounds = [0.5, 2.0];
+        for (job, n) in [("j1", 2), ("j2", 3)] {
+            let labels = [("tenant", "t"), ("job", job)];
+            reg.counter("dse_x_total", &labels).add(n);
+            reg.gauge("dse_x_size", &labels).set(7.0);
+            let h = reg.histogram("dse_x_seconds", &labels, &bounds);
+            h.observe(0.25);
+            h.observe(f64::from(u32::try_from(n).unwrap()));
+        }
+        reg.counter("dse_x_total", &[("tenant", "u"), ("job", "j1")])
+            .add(5);
+        reg.retire("job", "j1");
+        let text = reg.render_text();
+        assert!(!text.contains("job=\"j1\""), "{text}");
+        assert!(text.contains("dse_x_total{tenant=\"t\"} 2\n"), "{text}");
+        assert!(text.contains("dse_x_total{tenant=\"u\"} 5\n"), "{text}");
+        assert!(!text.contains("dse_x_size{tenant=\"t\"}"), "{text}");
+        reg.retire("job", "j2");
+        let text = reg.render_text();
+        assert!(!text.contains("job="), "{text}");
+        assert!(!text.contains("dse_x_size"), "{text}");
+        assert!(text.contains("dse_x_total{tenant=\"t\"} 5\n"), "{text}");
+        // Buckets add non-cumulatively: 0.25 twice, 2 once, 3 once (+Inf).
+        assert!(text.contains("dse_x_seconds_bucket{tenant=\"t\",le=\"0.5\"} 2\n"));
+        assert!(text.contains("dse_x_seconds_bucket{tenant=\"t\",le=\"2\"} 3\n"));
+        assert!(text.contains("dse_x_seconds_bucket{tenant=\"t\",le=\"+Inf\"} 4\n"));
+        assert!(text.contains("dse_x_seconds_sum{tenant=\"t\"} 5.5\n"));
+        assert!(text.contains("dse_x_seconds_count{tenant=\"t\"} 4\n"));
+        // A later job of the same labels keeps folding into the same cells,
+        // and retiring an unknown value changes nothing.
+        reg.counter("dse_x_total", &[("tenant", "t"), ("job", "j3")])
+            .add(1);
+        reg.retire("job", "j3");
+        reg.retire("job", "nope");
+        assert!(reg.render_text().contains("dse_x_total{tenant=\"t\"} 6\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fold a counter into a gauge")]
+    fn retire_type_clash_panics() {
+        let reg = MetricsRegistry::new();
+        reg.gauge("dse_clash", &[]);
+        reg.counter("dse_clash", &[("job", "j")]);
+        reg.retire("job", "j");
     }
 
     #[test]

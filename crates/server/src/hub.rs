@@ -1,16 +1,23 @@
-//! Per-job progress fan-out: a bounded in-memory ring of serialized
-//! [`RunEvent`](sacga::RunEvent) JSONL lines that late subscribers can
-//! replay from the start and live subscribers can follow with blocking
-//! polls.
+//! Per-job progress fan-out: serialized [`RunEvent`] JSONL lines that
+//! late subscribers can replay from the start and live subscribers can
+//! follow with blocking polls.
 //!
-//! The ring holds the most recent [`HUB_CAPACITY`] lines; a subscriber
-//! that falls further behind observes a `skipped` count instead of the
-//! dropped lines (the full stream is always on disk in the job's
-//! `events.jsonl`).
+//! While a job runs, its hub holds a bounded in-memory ring of the most
+//! recent [`HUB_CAPACITY`] lines; a subscriber that falls further behind
+//! observes a `skipped` count instead of the dropped lines. Once the job
+//! is terminal and its `events.jsonl` is flushed,
+//! [`ProgressHub::finish_on_disk`] releases the ring: from then on polls
+//! read the file, whose line `i` is stream offset `i`, so a subscriber
+//! crossing the transition continues at its cursor and a finished job
+//! keeps no event lines in memory.
 
 use std::collections::VecDeque;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
+
+use sacga::RunEvent;
 
 /// Maximum lines retained per job before the ring drops its oldest.
 pub const HUB_CAPACITY: usize = 65_536;
@@ -24,7 +31,15 @@ struct Inner {
     /// `base`, but kept as an explicit lifetime total so observability
     /// surfaces (the `dse_hub_dropped_lines` gauge) read one field.
     dropped: u64,
-    done: bool,
+    /// The file holding the whole stream once the job is terminal and
+    /// the ring released.
+    disk: Option<PathBuf>,
+}
+
+impl Inner {
+    fn end(&self) -> u64 {
+        self.base + self.lines.len() as u64
+    }
 }
 
 /// One job's progress stream (see module docs).
@@ -48,6 +63,14 @@ pub struct HubPoll {
     pub done: bool,
 }
 
+/// The events of a job's `events.jsonl`, one per intact line (a torn or
+/// unreadable line is skipped, a missing file reads as empty).
+pub(crate) fn read_events(path: &Path) -> Vec<RunEvent> {
+    fs::read_to_string(path)
+        .map(|text| RunEvent::parse_jsonl_lossy(&text).events)
+        .unwrap_or_default()
+}
+
 impl ProgressHub {
     /// An empty stream.
     pub fn new() -> Self {
@@ -56,7 +79,7 @@ impl ProgressHub {
                 base: 0,
                 lines: VecDeque::new(),
                 dropped: 0,
-                done: false,
+                disk: None,
             }),
             grew: Condvar::new(),
         }
@@ -81,21 +104,61 @@ impl ProgressHub {
         self.inner.lock().unwrap().dropped
     }
 
-    /// Marks the stream terminal and wakes blocked subscribers.
-    pub fn finish(&self) {
-        self.inner.lock().unwrap().done = true;
+    /// Lines held in memory (none once the stream is on disk).
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.inner.lock().unwrap().lines.len()
+    }
+
+    /// Marks the stream terminal, releases the ring and serves every
+    /// later poll from `events`, which must already hold the complete
+    /// stream (line `i` at offset `i`); wakes blocked subscribers.
+    pub fn finish_on_disk(&self, events: PathBuf) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.lines = VecDeque::new();
+        inner.disk = Some(events);
+        drop(inner);
         self.grew.notify_all();
+    }
+
+    /// The last `n` retained lines and the stream's total length, or
+    /// `None` once the stream is on disk.
+    pub(crate) fn tail(&self, n: usize) -> Option<(Vec<String>, u64)> {
+        let inner = self.inner.lock().unwrap();
+        if inner.disk.is_some() {
+            return None;
+        }
+        let skip = inner.lines.len().saturating_sub(n);
+        Some((
+            inner.lines.iter().skip(skip).cloned().collect(),
+            inner.end(),
+        ))
     }
 
     /// Returns all lines at offsets `>= cursor`, blocking up to
     /// `timeout` when none are available yet and the stream is not
-    /// terminal. A `cursor` of 0 replays the retained history.
+    /// terminal. A `cursor` of 0 replays the retained history (the
+    /// whole stream once it is on disk).
     pub fn poll(&self, cursor: u64, timeout: Duration) -> HubPoll {
         let mut inner = self.inner.lock().unwrap();
-        let end = |inner: &Inner| inner.base + inner.lines.len() as u64;
-        if cursor >= end(&inner) && !inner.done {
+        if cursor >= inner.end() && inner.disk.is_none() {
             let (guard, _) = self.grew.wait_timeout(inner, timeout).unwrap();
             inner = guard;
+        }
+        if let Some(path) = inner.disk.clone() {
+            drop(inner);
+            let skip = usize::try_from(cursor).unwrap_or(usize::MAX);
+            let lines: Vec<String> = read_events(&path)
+                .iter()
+                .skip(skip)
+                .map(RunEvent::to_json)
+                .collect();
+            return HubPoll {
+                next: cursor + lines.len() as u64,
+                lines,
+                skipped: 0,
+                done: true,
+            };
         }
         let start = cursor.max(inner.base);
         let skipped = start - cursor;
@@ -109,7 +172,7 @@ impl ProgressHub {
             next: start + lines.len() as u64,
             lines,
             skipped,
-            done: inner.done,
+            done: false,
         }
     }
 }
@@ -134,16 +197,16 @@ mod tests {
         assert_eq!(p.next, 2);
         assert!(!p.done);
         hub.publish("c".into());
-        hub.finish();
         let p = hub.poll(p.next, Duration::ZERO);
         assert_eq!(p.lines, vec!["c"]);
-        assert!(p.done);
+        assert!(!p.done);
     }
 
     #[test]
     fn poll_after_done_returns_immediately() {
         let hub = ProgressHub::new();
-        hub.finish();
+        // A job that ended before writing any event has no file.
+        hub.finish_on_disk(std::env::temp_dir().join("dse-server-hub-no-such-file.jsonl"));
         let p = hub.poll(0, Duration::from_secs(5));
         assert!(p.lines.is_empty());
         assert!(p.done);
@@ -160,6 +223,58 @@ mod tests {
         assert_eq!(p.lines.len(), HUB_CAPACITY);
         assert_eq!(p.lines[0], "10");
         assert_eq!(hub.dropped(), 10);
+    }
+
+    fn tmp_events(tag: &str, events: &[RunEvent]) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("dse-server-hub-{tag}-{}.jsonl", std::process::id()));
+        let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
+        fs::write(&path, text).unwrap();
+        path
+    }
+
+    fn event(generation: usize) -> RunEvent {
+        RunEvent::PartitionFeasible {
+            generation,
+            partition: 1,
+        }
+    }
+
+    #[test]
+    fn finish_on_disk_releases_the_ring_and_continues_at_the_cursor() {
+        let events: Vec<RunEvent> = (0..5).map(event).collect();
+        let path = tmp_events("disk", &events);
+        let hub = ProgressHub::new();
+        for e in &events[..3] {
+            hub.publish(e.to_json());
+        }
+        let first = hub.poll(0, Duration::ZERO);
+        assert_eq!(first.lines.len(), 3);
+        for e in &events[3..] {
+            hub.publish(e.to_json());
+        }
+        hub.finish_on_disk(path.clone());
+        assert_eq!(hub.retained(), 0);
+        assert!(hub.tail(4).is_none());
+        let rest = hub.poll(first.next, Duration::from_secs(5));
+        assert!(rest.done);
+        assert_eq!(rest.skipped, 0);
+        assert_eq!(rest.next, 5);
+        let expected: Vec<String> = events[3..].iter().map(RunEvent::to_json).collect();
+        assert_eq!(rest.lines, expected);
+        assert_eq!(hub.poll(0, Duration::ZERO).lines.len(), 5);
+        assert!(hub.poll(5, Duration::ZERO).lines.is_empty());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_returns_the_newest_lines_and_the_total() {
+        let hub = ProgressHub::new();
+        for i in 0..5 {
+            hub.publish(format!("{i}"));
+        }
+        assert_eq!(hub.tail(2), Some((vec!["3".into(), "4".into()], 5)));
+        assert_eq!(hub.tail(9).unwrap().0.len(), 5);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   atomically-rewritten spec/state/checkpoint files plus an
 //!   append-healed `events.jsonl`, so a killed daemon restarts, rescans
 //!   and resumes every in-flight job bit-identically;
-//! * [`hub`] — the per-job [`ProgressHub`] ring that late subscribers
-//!   replay and live subscribers follow;
+//! * [`hub`] — the per-job [`ProgressHub`]: a ring that late subscribers
+//!   replay and live subscribers follow while the job runs, and the
+//!   job's `events.jsonl` once it is terminal;
 //! * [`server`] — the [`Server`] tying it together: cooperative
 //!   preemption at generation-slice boundaries, per-tenant
 //!   [`SharedCache`](engine::SharedCache) pools with exact per-job hit

@@ -15,15 +15,26 @@
 //!
 //! # Crash safety
 //!
-//! [`Server::open`] rescans the store: terminal jobs are left alone;
-//! anything else — including a job whose `state.job` is torn because
-//! the previous daemon died mid-write — is re-enqueued. The event
+//! [`Server::open`] rescans the store: terminal jobs are registered
+//! without reading their event streams (a subscriber reads
+//! `events.jsonl` on demand); anything else — including a job whose
+//! `state.job` is torn because the previous daemon died mid-write — is
+//! re-enqueued. The event
 //! stream is trimmed back to the persisted checkpoint's generation so
 //! a resumed run appends exactly the events the killed run would have
 //! produced, and the final front is bit-identical to an uninterrupted
 //! run of the same spec.
+//!
+//! # Resident state
+//!
+//! A finished job costs little memory however many the daemon has
+//! served: at its terminal transition its event lines leave memory (its
+//! stream and `debug` tail are read back from `events.jsonl`) and its
+//! `job`-labeled registry series fold into their `{tenant, arm}` totals
+//! ([`MetricsRegistry::retire`]); its own counts stay in its
+//! [`JobState`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
 use std::io::BufWriter;
 use std::net::TcpListener;
@@ -32,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::ServerError;
-use crate::hub::ProgressHub;
+use crate::hub::{read_events, ProgressHub, HUB_CAPACITY};
 use crate::queue::{JobQueue, PopMode};
 use crate::spec::{JobId, JobSpec};
 use crate::store::{JobHealth, JobState, JobStatus, JobStore};
@@ -52,8 +63,9 @@ use sacga::RunEvent;
 /// point, so the scraped trajectory matches what the detector sees.
 const STALL_REF: f64 = 1e3;
 
-/// Event lines each job's flight recorder retains (a deliberately small
-/// tail — the full stream lives in `events.jsonl` and the hub).
+/// Event lines the `debug` endpoint returns: the newest of the job's
+/// stream (a deliberately small tail — the full stream lives in
+/// `events.jsonl`).
 pub const FLIGHT_CAPACITY: usize = 256;
 
 /// Tuning of a [`Server`].
@@ -151,25 +163,18 @@ impl Drop for RunningGuard<'_> {
     }
 }
 
-/// One job's flight recorder: a bounded tail of its most recent event
-/// lines plus cumulative per-stage nanoseconds, kept in memory for the
-/// `debug` endpoint (post-incident triage without replaying the full
+/// One job's flight recorder: cumulative per-stage nanoseconds over its
+/// whole event stream, kept in memory for the `debug` endpoint while the
+/// job is live (post-incident triage without replaying the full
 /// `events.jsonl`).
 #[derive(Debug, Default)]
 struct FlightRecorder {
-    lines: VecDeque<String>,
-    dropped: u64,
     stages: StageNanos,
     timed_generations: u64,
 }
 
 impl FlightRecorder {
-    fn record(&mut self, event: &RunEvent, line: &str) {
-        if self.lines.len() == FLIGHT_CAPACITY {
-            self.lines.pop_front();
-            self.dropped += 1;
-        }
-        self.lines.push_back(line.to_string());
+    fn record(&mut self, event: &RunEvent) {
         if let RunEvent::StageTiming { stages, .. } = event {
             self.stages.merge(stages);
             self.timed_generations += 1;
@@ -181,9 +186,10 @@ impl FlightRecorder {
 /// `debug` protocol command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightReport {
-    /// Event lines currently retained (at most [`FLIGHT_CAPACITY`]).
+    /// The newest event lines of the job's stream (at most
+    /// [`FLIGHT_CAPACITY`]).
     pub lines: Vec<String>,
-    /// Older lines the recorder ring overwrote.
+    /// Older lines of the stream left out of `lines`.
     pub dropped: u64,
     /// Lines the job's progress hub ring overwrote (see
     /// [`ProgressHub::dropped`]).
@@ -261,9 +267,8 @@ struct SegmentSink<'a> {
 impl Sink for SegmentSink<'_> {
     fn record(&mut self, event: &RunEvent) {
         self.jsonl.record(event);
-        let line = event.to_json();
-        self.flight.lock().unwrap().record(event, &line);
-        self.hub.publish(line);
+        self.flight.lock().unwrap().record(event);
+        self.hub.publish(event.to_json());
         self.watch.record(event);
         self.run_metrics.record(event);
     }
@@ -360,13 +365,8 @@ impl Server {
         match state {
             Some(state) if state.status.is_terminal() => {
                 let rt = Arc::new(JobRuntime::new(spec, state));
-                // Make the historical stream replayable for subscribers.
-                if let Ok(text) = fs::read_to_string(self.store.events_path(id)) {
-                    for event in RunEvent::parse_jsonl_lossy(&text).events {
-                        rt.hub.publish(event.to_json());
-                    }
-                }
-                rt.hub.finish();
+                // Subscribers read the finished stream from disk.
+                rt.hub.finish_on_disk(self.store.events_path(id));
                 self.jobs.lock().unwrap().insert(id, rt);
             }
             other => {
@@ -388,7 +388,7 @@ impl Server {
                         ..other.unwrap_or_else(JobState::queued)
                     },
                 ));
-                self.trim_events(id, generations, &rt.hub)?;
+                self.trim_events(id, generations, &rt)?;
                 self.store.write_state(id, &rt.state.lock().unwrap())?;
                 self.jobs.lock().unwrap().insert(id, rt);
                 self.queue.requeue(id, spec.priority);
@@ -400,12 +400,12 @@ impl Server {
     /// Rewrites `events.jsonl` keeping only the prefix up to (and
     /// including) the `generations`-th `GenerationEnd`, dropping events
     /// a killed daemon emitted past its last persisted checkpoint, and
-    /// replays the kept events into the hub.
+    /// replays the kept events into the hub and the flight recorder.
     fn trim_events(
         &self,
         id: JobId,
         generations: usize,
-        hub: &ProgressHub,
+        rt: &JobRuntime,
     ) -> Result<(), ServerError> {
         let path = self.store.events_path(id);
         let text = match fs::read_to_string(&path) {
@@ -430,9 +430,11 @@ impl Server {
             }
         }
         let mut sink = JsonlSink::create(&path)?;
+        let mut flight = rt.flight.lock().unwrap();
         for event in &kept {
             sink.record(event);
-            hub.publish(event.to_json());
+            flight.record(event);
+            rt.hub.publish(event.to_json());
         }
         sink.flush()?;
         Ok(())
@@ -561,9 +563,9 @@ impl Server {
         &self.registry
     }
 
-    /// Pulls the scrape-time gauges (queue depth, running jobs, per-job
-    /// hub drops) up to date; counters and histograms are maintained on
-    /// the hot paths and need no refresh.
+    /// Pulls the scrape-time gauges (queue depth, running jobs, live
+    /// jobs' hub drops) up to date; counters and histograms are
+    /// maintained on the hot paths and need no refresh.
     fn refresh_gauges(&self) {
         #[allow(clippy::cast_precision_loss)]
         self.metrics.queue_depth.set(self.queue.len() as f64);
@@ -573,6 +575,12 @@ impl Server {
             .set(self.running.load(Ordering::SeqCst) as f64);
         let jobs = self.jobs.lock().unwrap();
         for (id, rt) in jobs.iter() {
+            // Holding the state lock orders this against the job's
+            // terminal transition, so a retired job's gauge never returns.
+            let state = rt.state.lock().unwrap();
+            if state.status.is_terminal() {
+                continue;
+            }
             let job = id.to_string();
             let tenant = rt.spec.tenant.as_deref().unwrap_or("none");
             #[allow(clippy::cast_precision_loss)]
@@ -604,14 +612,47 @@ impl Server {
     /// [`ServerError::UnknownJob`] for ids never submitted here.
     pub fn debug_report(&self, id: JobId) -> Result<FlightReport, ServerError> {
         let rt = self.runtime(id)?;
-        let flight = rt.flight.lock().unwrap();
+        if let Some((lines, total)) = rt.hub.tail(FLIGHT_CAPACITY) {
+            let flight = rt.flight.lock().unwrap();
+            return Ok(FlightReport {
+                dropped: total - lines.len() as u64,
+                lines,
+                hub_dropped: rt.hub.dropped(),
+                stages: flight.stages,
+                timed_generations: flight.timed_generations,
+            });
+        }
+        // Terminal: the whole stream is on disk. Every stream is
+        // published to the hub in full, so its ring would have dropped
+        // exactly the lines beyond its capacity.
+        let events = read_events(&self.store.events_path(id));
+        let mut flight = FlightRecorder::default();
+        for event in &events {
+            flight.record(event);
+        }
+        let total = events.len() as u64;
+        let lines: Vec<String> = events[events.len().saturating_sub(FLIGHT_CAPACITY)..]
+            .iter()
+            .map(RunEvent::to_json)
+            .collect();
         Ok(FlightReport {
-            lines: flight.lines.iter().cloned().collect(),
-            dropped: flight.dropped,
-            hub_dropped: rt.hub.dropped(),
+            dropped: total - lines.len() as u64,
+            lines,
+            hub_dropped: total.saturating_sub(HUB_CAPACITY as u64),
             stages: flight.stages,
             timed_generations: flight.timed_generations,
         })
+    }
+
+    /// Event lines held in memory for terminal jobs (none: their streams
+    /// live on disk).
+    #[cfg(test)]
+    fn terminal_lines_retained(&self) -> usize {
+        let jobs = self.jobs.lock().unwrap();
+        jobs.values()
+            .filter(|rt| rt.state.lock().unwrap().status.is_terminal())
+            .map(|rt| rt.hub.retained())
+            .sum()
     }
 
     /// Whether a shutdown was requested.
@@ -720,9 +761,19 @@ impl Server {
                 s.status = JobStatus::Failed;
                 s.error = Some(message.to_string());
             });
-            rt.hub.finish();
+            self.finish_job(id, &rt);
             self.metrics.jobs_failed.inc();
         }
+    }
+
+    /// Releases a job's in-memory footprint once its state is terminal
+    /// and its `events.jsonl` flushed: the stream moves to disk, the
+    /// watchdogs go, and its `job`-labeled series fold into their
+    /// `{tenant, arm}` totals.
+    fn finish_job(&self, id: JobId, rt: &JobRuntime) {
+        rt.hub.finish_on_disk(self.store.events_path(id));
+        *rt.watch.lock().unwrap() = None;
+        self.registry.retire("job", &id.to_string());
     }
 
     /// Executes one popped job until it completes, fails, is cancelled,
@@ -738,7 +789,7 @@ impl Server {
         };
         if rt.cancel.load(Ordering::SeqCst) {
             self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
-            rt.hub.finish();
+            self.finish_job(id, &rt);
             self.queue.task_done();
             return;
         }
@@ -774,9 +825,7 @@ impl Server {
         // restart they are rebuilt by replaying the (trimmed) stream.
         let mut watch = rt.watch.lock().unwrap().take().unwrap_or_else(|| {
             let mut fresh = WatchdogSet::build(&spec);
-            if let Ok(text) = fs::read_to_string(self.store.events_path(id)) {
-                fresh.replay(&RunEvent::parse_jsonl_lossy(&text).events);
-            }
+            fresh.replay(&read_events(&self.store.events_path(id)));
             fresh
         });
         let mut jsonl = match JsonlSink::append(self.store.events_path(id)) {
@@ -825,20 +874,18 @@ impl Server {
                 Err(e) => {
                     let _ = jsonl.flush();
                     let health = watch.health();
-                    *rt.watch.lock().unwrap() = Some(watch);
                     self.update_state(id, &rt, |s| {
                         s.status = JobStatus::Failed;
                         s.health = health;
                         s.error = Some(e.to_string());
                     });
-                    rt.hub.finish();
+                    self.finish_job(id, &rt);
                     self.queue.task_done();
                     return;
                 }
                 Ok(DynRunStatus::Complete(outcome)) => {
                     let _ = jsonl.flush();
                     self.complete_job(id, &rt, &spec, &outcome, &watch);
-                    *rt.watch.lock().unwrap() = Some(watch);
                     self.queue.task_done();
                     return;
                 }
@@ -849,7 +896,6 @@ impl Server {
                     let _ = jsonl.flush();
                     if let Err(e) = self.store.write_checkpoint(id, &checkpoint) {
                         self.fail_job(id, &format!("cannot persist checkpoint: {e}"));
-                        *rt.watch.lock().unwrap() = Some(watch);
                         self.queue.task_done();
                         return;
                     }
@@ -862,8 +908,7 @@ impl Server {
                     });
                     if rt.cancel.load(Ordering::SeqCst) {
                         self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
-                        rt.hub.finish();
-                        *rt.watch.lock().unwrap() = Some(watch);
+                        self.finish_job(id, &rt);
                         self.queue.task_done();
                         return;
                     }
@@ -911,7 +956,7 @@ impl Server {
             s.screened = outcome.stats.screened;
             s.health = health;
         });
-        rt.hub.finish();
+        self.finish_job(id, rt);
         self.metrics.jobs_completed.inc();
     }
 }
@@ -995,44 +1040,61 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// The value of the one sample named exactly `series` in `text`.
+    fn sample(text: &str, series: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{series} missing from scrape:\n{text}"))
+            .parse()
+            .unwrap()
+    }
+
     #[test]
     fn scrape_balances_and_is_monotone() {
         let root = tmp_root("scrape");
         let server = Server::open(&root, ServerConfig::new()).unwrap();
         let spec = quick_spec("scrape").tenant("acme");
         let id = server.submit(spec).unwrap();
-        server.run_until_idle().unwrap();
-        let text = server.metrics_text();
-        let sample = |name: &str| -> u64 {
-            text.lines()
-                .find(|l| l.starts_with(name))
-                .unwrap_or_else(|| panic!("{name} missing from scrape:\n{text}"))
-                .rsplit(' ')
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        let labels = format!("{{arm=\"sacga\",job=\"{id}\",tenant=\"acme\"}}");
-        let candidates = sample(&format!("dse_engine_candidates_total{labels}"));
-        let evaluations = sample(&format!("dse_engine_evaluations_total{labels}"));
-        let cache_hits = sample(&format!("dse_engine_cache_hits_total{labels}"));
-        let screened = sample(&format!("dse_engine_screened_total{labels}"));
-        assert!(candidates > 0);
-        assert_eq!(candidates, evaluations + cache_hits + screened);
-        let view = server.status(id).unwrap();
-        assert_eq!(candidates, view.candidates);
-        assert_eq!(sample(&format!("dse_run_generations_total{labels}")), 6);
-        assert_eq!(
-            sample(&format!("dse_engine_eval_latency_seconds_count{labels}")),
-            evaluations
-        );
-        assert!(text.contains("dse_run_hypervolume"));
-        assert!(text.contains("dse_server_jobs_submitted_total 1"));
-        assert!(text.contains("dse_server_jobs_completed_total 1"));
-        assert!(text.contains(&format!(
+        // A live job's hub gauge carries its labels...
+        let live = server.metrics_text();
+        assert!(live.contains(&format!(
             "dse_hub_dropped_lines{{job=\"{id}\",tenant=\"acme\"}} 0"
         )));
+        server.run_until_idle().unwrap();
+        let text = server.metrics_text();
+        // ...and a finished job's series are folded into {tenant, arm}.
+        assert!(!text.contains(&format!("job=\"{id}\"")), "{text}");
+        assert!(!text.contains("dse_hub_dropped_lines"), "{text}");
+        assert!(!text.contains("dse_run_hypervolume"), "gauges are dropped");
+        let labels = "{arm=\"sacga\",tenant=\"acme\"}";
+        let folded = |name: &str| sample(&text, &format!("{name}{labels}"));
+        let candidates = folded("dse_engine_candidates_total");
+        let evaluations = folded("dse_engine_evaluations_total");
+        let cache_hits = folded("dse_engine_cache_hits_total");
+        let screened = folded("dse_engine_screened_total");
+        assert!(candidates > 0);
+        assert_eq!(candidates, evaluations + cache_hits + screened);
+        // The job's own counts stay in its ledger; as the tenant's only
+        // job it equals the folded totals.
+        let view = server.status(id).unwrap();
+        assert_eq!(
+            view.candidates,
+            view.evaluations + view.cache_hits + view.screened
+        );
+        assert_eq!(
+            (candidates, evaluations, cache_hits, screened),
+            (
+                view.candidates,
+                view.evaluations,
+                view.cache_hits,
+                view.screened
+            )
+        );
+        assert_eq!(view.generations, 6);
+        assert_eq!(folded("dse_run_generations_total"), 6);
+        assert_eq!(folded("dse_engine_eval_latency_seconds_count"), evaluations);
+        assert!(text.contains("dse_server_jobs_submitted_total 1"));
+        assert!(text.contains("dse_server_jobs_completed_total 1"));
         // A second scrape with no new work is byte-identical (counters
         // monotone, gauges unchanged).
         assert_eq!(server.metrics_text(), text);
@@ -1040,6 +1102,54 @@ mod tests {
         let json = server.metrics_json();
         assert!(json.starts_with("{\"metrics\":["));
         assert!(!json.contains('\n'));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn finished_jobs_keep_no_event_lines_and_no_job_series() {
+        let root = tmp_root("resident");
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let tenants = ["acme", "beta"];
+        let mut submitted = 0;
+        let mut run_batch = |n: usize| {
+            for _ in 0..n {
+                let spec = quick_spec(&format!("r{submitted}"))
+                    .tenant(tenants[submitted % tenants.len()])
+                    .slice(2);
+                server.submit(spec).unwrap();
+                submitted += 1;
+            }
+            server.run_until_idle().unwrap();
+        };
+        let series = |text: &str| text.lines().filter(|l| !l.starts_with('#')).count();
+        run_batch(10);
+        let after_10 = server.metrics_text();
+        assert_eq!(server.terminal_lines_retained(), 0);
+        run_batch(10);
+        let after_20 = server.metrics_text();
+        assert_eq!(server.terminal_lines_retained(), 0);
+        assert_eq!(series(&after_10), series(&after_20));
+        assert!(!after_20.contains("job="), "{after_20}");
+        for tenant in tenants {
+            let labels = format!("{{arm=\"sacga\",tenant=\"{tenant}\"}}");
+            let folded = |name: &str| sample(&after_20, &format!("{name}{labels}"));
+            let candidates = folded("dse_engine_candidates_total");
+            assert!(candidates > 0);
+            assert_eq!(
+                candidates,
+                folded("dse_engine_evaluations_total")
+                    + folded("dse_engine_cache_hits_total")
+                    + folded("dse_engine_screened_total")
+            );
+            assert_eq!(folded("dse_run_generations_total"), 10 * 6);
+        }
+        // Streams of finished jobs still replay in full, from disk.
+        for view in server.list() {
+            let poll = server.poll_progress(view.id, 0, Duration::ZERO).unwrap();
+            assert!(poll.done);
+            let on_disk = fs::read_to_string(server.store().events_path(view.id)).unwrap();
+            assert_eq!(poll.lines, on_disk.lines().collect::<Vec<_>>());
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -6,12 +6,14 @@
 //! The crash-safety golden snapshot lives in `tests/golden/` (re-record
 //! with `UPDATE_GOLDEN=1 cargo test -p integration-tests --test server`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
+use dse_server::protocol::MAX_REQUEST_LINE;
 use dse_server::{
-    AlgoSpec, JobHealth, JobSpec, JobStatus, ProblemSpec, Server, ServerConfig, ServerError,
+    AlgoSpec, JobHealth, JobId, JobSpec, JobStatus, ProblemSpec, Server, ServerConfig, ServerError,
 };
 
 mod common;
@@ -562,8 +564,251 @@ fn tcp_protocol_end_to_end() {
         assert!(status[0].contains("status=done"), "{}", status[0]);
         assert!(status[0].contains("generations=12"), "{}", status[0]);
 
+        // The live stream is the job's `events.jsonl`, line for line, and
+        // a stream of the finished job (served from disk) repeats it.
+        let events = |lines: &[String]| -> Vec<String> {
+            lines
+                .iter()
+                .filter_map(|l| l.strip_prefix("event ").map(String::from))
+                .collect()
+        };
+        let on_disk = file_lines(&server, JobId::parse(&id).unwrap());
+        assert_eq!(events(&streamed), on_disk);
+        assert_eq!(events(&send(&format!("stream {id}"))), on_disk);
+
         assert_eq!(send("shutdown"), vec!["ok shutting-down"]);
         daemon.join().unwrap().unwrap();
+    });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The job's `events.jsonl`, one string per line.
+fn file_lines(server: &Server, id: JobId) -> Vec<String> {
+    std::fs::read_to_string(server.store().events_path(id))
+        .unwrap()
+        .lines()
+        .map(String::from)
+        .collect()
+}
+
+/// Polls a job's stream from `cursor` until it ends, requiring that no
+/// line is skipped.
+fn drain_stream(server: &Server, id: JobId, mut cursor: u64) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut lines = Vec::new();
+    loop {
+        assert!(Instant::now() < deadline, "stream of {id} never ended");
+        let poll = server
+            .poll_progress(id, cursor, Duration::from_millis(20))
+            .unwrap();
+        assert_eq!(poll.skipped, 0);
+        lines.extend(poll.lines);
+        cursor = poll.next;
+        if poll.done {
+            return lines;
+        }
+    }
+}
+
+/// Runs `server`'s queue to idle while a subscriber that started at
+/// cursor 0 before the job ran follows `id` across its terminal
+/// transition; returns what the subscriber saw.
+fn stream_across_completion(server: &Server, id: JobId) -> Vec<String> {
+    let first = server.poll_progress(id, 0, Duration::ZERO).unwrap();
+    assert!(!first.done, "the subscriber must start before the job ends");
+    std::thread::scope(|scope| {
+        let follower = scope.spawn(|| drain_stream(server, id, first.next));
+        server.run_until_idle().unwrap();
+        let mut lines = first.lines;
+        lines.extend(follower.join().unwrap());
+        lines
+    })
+}
+
+/// Asserts three streams of a finished job — one that crossed its
+/// terminal transition, one after completion, one after a restart —
+/// all equal its `events.jsonl`.
+fn assert_streams_match_disk(root: &std::path::Path, spec: &JobSpec, crossed: Vec<String>) {
+    let id = spec.id();
+    let server = Server::open(root, config(1)).unwrap();
+    let on_disk = file_lines(&server, id);
+    assert!(on_disk.len() > 12, "{} lines", on_disk.len());
+    assert_eq!(crossed, on_disk, "live stream differs from events.jsonl");
+    assert_eq!(drain_stream(&server, id, 0), on_disk, "after a restart");
+    // A subscriber at cursor c continues at line c.
+    assert_eq!(drain_stream(&server, id, 5), on_disk[5..]);
+}
+
+#[test]
+fn finished_streams_replay_from_disk_byte_identically() {
+    // A sliced job that runs uninterrupted.
+    let spec = sacga_spec("disk-plain").slice(2);
+    let root = scratch_dir("disk-plain");
+    let server = Server::open(&root, config(1)).unwrap();
+    let id = server.submit(spec.clone()).unwrap();
+    let crossed = stream_across_completion(&server, id);
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+    assert_eq!(drain_stream(&server, id, 0), crossed, "after completion");
+    drop(server);
+    assert_streams_match_disk(&root, &spec, crossed);
+    let _ = std::fs::remove_dir_all(&root);
+
+    // A sliced job killed mid-run and resumed by a new daemon, whose
+    // stream was trimmed back to its checkpoint on restart.
+    let spec = sacga_spec("disk-killed").slice(2);
+    let root = scratch_dir("disk-killed");
+    let server = Server::open(&root, config(1)).unwrap();
+    let id = server.submit(spec.clone()).unwrap();
+    assert!(!server.run_slices_at_most(3).unwrap());
+    drop(server);
+    let server = Server::open(&root, config(1)).unwrap();
+    let crossed = stream_across_completion(&server, id);
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+    assert_eq!(drain_stream(&server, id, 0), crossed, "after completion");
+    drop(server);
+    assert_streams_match_disk(&root, &spec, crossed);
+    // The resumed front is still the uninterrupted one.
+    let server = Server::open(&root, config(1)).unwrap();
+    let resumed = std::fs::read(server.store().outcome_path(id)).unwrap();
+    assert_eq!(
+        vec![resumed],
+        reference_outcomes("disk-killed-ref", &[spec], 1)
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn debug_report_is_unchanged_by_the_terminal_transition() {
+    // A killed job reopened by a new daemon is live (queued) with its
+    // trimmed stream in memory; cancelling it makes it terminal without
+    // a new event, so its report moves from memory to disk unchanged.
+    let root = scratch_dir("debug-transition");
+    let spec = sacga_spec("debug").slice(2);
+    let server = Server::open(&root, config(1)).unwrap();
+    let id = server.submit(spec).unwrap();
+    assert!(!server.run_slices_at_most(3).unwrap());
+    drop(server);
+    let server = Server::open(&root, config(1)).unwrap();
+    let live = server.debug_report(id).unwrap();
+    assert!(!live.lines.is_empty());
+    assert!(live.timed_generations > 0);
+    assert_eq!(live.lines, file_lines(&server, id));
+    server.cancel(id).unwrap();
+    server.run_until_idle().unwrap();
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Cancelled);
+    assert_eq!(server.debug_report(id).unwrap(), live);
+    drop(server);
+    let server = Server::open(&root, config(1)).unwrap();
+    assert_eq!(server.debug_report(id).unwrap(), live, "after a restart");
+
+    // A job that ran to completion: every report taken while it ran is
+    // a window of its final stream, and the final report's stage totals
+    // cover the whole stream.
+    let id = server.submit(sacga_spec("debug-done").slice(1)).unwrap();
+    let reports = std::thread::scope(|scope| {
+        let probe = scope.spawn(|| {
+            let mut reports = Vec::new();
+            while !server.status(id).unwrap().status.is_terminal() {
+                reports.push(server.debug_report(id).unwrap());
+                std::thread::yield_now();
+            }
+            reports
+        });
+        server.run_until_idle().unwrap();
+        probe.join().unwrap()
+    });
+    let on_disk = file_lines(&server, id);
+    let done = server.debug_report(id).unwrap();
+    assert_eq!(done.lines, on_disk);
+    assert_eq!((done.dropped, done.hub_dropped), (0, 0));
+    for r in reports {
+        let end = usize::try_from(r.dropped).unwrap() + r.lines.len();
+        assert_eq!(r.lines, on_disk[end - r.lines.len()..end]);
+        assert!(r.timed_generations <= done.timed_generations);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Serves `server` on a loopback listener for the duration of `f`,
+/// shutting it down even when `f` panics (so a failure cannot hang).
+fn with_daemon(server: &Server, f: impl FnOnce(std::net::SocketAddr)) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| server.serve(listener));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr)));
+        server.request_shutdown();
+        daemon.join().unwrap().unwrap();
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// Sends one request line in a single write and reads one reply line.
+fn round_trip(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    reply.trim_end().to_string()
+}
+
+#[test]
+fn round_trips_do_not_wait_for_delayed_acks() {
+    // A client that leaves Nagle's algorithm on: a reply split over two
+    // small writes would wait ~40 ms per round trip for the client's
+    // delayed ACK (60 round trips >= 2.4 s); one flush per reply takes
+    // milliseconds.
+    let root = scratch_dir("nodelay");
+    let server = Server::open(&root, config(1)).unwrap();
+    with_daemon(&server, |addr| {
+        let mut writer = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        let spec = sacga_spec("nodelay");
+        let submitted = round_trip(
+            &mut writer,
+            &mut reader,
+            &format!("submit {}", spec.canonical()),
+        );
+        let id = submitted.strip_prefix("ok ").expect(&submitted).to_string();
+        let start = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(round_trip(&mut writer, &mut reader, "ping"), "ok pong");
+        }
+        for _ in 0..10 {
+            let status = round_trip(&mut writer, &mut reader, &format!("status {id}"));
+            assert!(status.starts_with(&format!("ok id={id} ")), "{status}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "60 round trips took {elapsed:?}"
+        );
+    });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let root = scratch_dir("line-cap");
+    let server = Server::open(&root, config(1)).unwrap();
+    with_daemon(&server, |addr| {
+        let mut flood = TcpStream::connect(addr).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // Twice the cap with no newline; the daemon may close the
+        // connection before reading all of it.
+        let _ = flood.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]);
+        let mut reply = String::new();
+        let _ = flood.read_to_string(&mut reply);
+        assert_eq!(
+            reply,
+            format!("err request line exceeds {MAX_REQUEST_LINE} bytes\n")
+        );
+        let mut writer = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        assert_eq!(round_trip(&mut writer, &mut reader, "ping"), "ok pong");
     });
     let _ = std::fs::remove_dir_all(&root);
 }
