@@ -4,7 +4,10 @@
 //!
 //! While a job runs, its hub holds a bounded in-memory ring of the most
 //! recent [`HUB_CAPACITY`] lines; a subscriber that falls further behind
-//! observes a `skipped` count instead of the dropped lines. Once the job
+//! observes a `skipped` count instead of the dropped lines. The server
+//! publishes a job's lines one generation at a time
+//! ([`ProgressHub::publish`]), so a live subscriber wakes once per
+//! generation rather than once per event. Once the job
 //! is terminal and its `events.jsonl` is flushed,
 //! [`ProgressHub::finish_on_disk`] releases the ring: from then on polls
 //! read the file, whose line `i` is stream offset `i`, so a subscriber
@@ -85,15 +88,21 @@ impl ProgressHub {
         }
     }
 
-    /// Appends one line and wakes blocked subscribers.
-    pub fn publish(&self, line: String) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.lines.len() == HUB_CAPACITY {
-            inner.lines.pop_front();
-            inner.base += 1;
-            inner.dropped += 1;
+    /// Appends `lines` in order and wakes blocked subscribers once, so a
+    /// subscriber sees them as one batch.
+    pub fn publish(&self, lines: Vec<String>) {
+        if lines.is_empty() {
+            return;
         }
-        inner.lines.push_back(line);
+        let mut inner = self.inner.lock().unwrap();
+        for line in lines {
+            if inner.lines.len() == HUB_CAPACITY {
+                inner.lines.pop_front();
+                inner.base += 1;
+                inner.dropped += 1;
+            }
+            inner.lines.push_back(line);
+        }
         drop(inner);
         self.grew.notify_all();
     }
@@ -190,13 +199,13 @@ mod tests {
     #[test]
     fn replays_history_then_follows() {
         let hub = ProgressHub::new();
-        hub.publish("a".into());
-        hub.publish("b".into());
+        hub.publish(vec!["a".into()]);
+        hub.publish(vec!["b".into()]);
         let p = hub.poll(0, Duration::ZERO);
         assert_eq!(p.lines, vec!["a", "b"]);
         assert_eq!(p.next, 2);
         assert!(!p.done);
-        hub.publish("c".into());
+        hub.publish(vec!["c".into()]);
         let p = hub.poll(p.next, Duration::ZERO);
         assert_eq!(p.lines, vec!["c"]);
         assert!(!p.done);
@@ -216,7 +225,7 @@ mod tests {
     fn overflow_reports_skipped_lines() {
         let hub = ProgressHub::new();
         for i in 0..(HUB_CAPACITY + 10) {
-            hub.publish(format!("{i}"));
+            hub.publish(vec![format!("{i}")]);
         }
         let p = hub.poll(0, Duration::ZERO);
         assert_eq!(p.skipped, 10);
@@ -246,12 +255,12 @@ mod tests {
         let path = tmp_events("disk", &events);
         let hub = ProgressHub::new();
         for e in &events[..3] {
-            hub.publish(e.to_json());
+            hub.publish(vec![e.to_json()]);
         }
         let first = hub.poll(0, Duration::ZERO);
         assert_eq!(first.lines.len(), 3);
         for e in &events[3..] {
-            hub.publish(e.to_json());
+            hub.publish(vec![e.to_json()]);
         }
         hub.finish_on_disk(path.clone());
         assert_eq!(hub.retained(), 0);
@@ -271,16 +280,31 @@ mod tests {
     fn tail_returns_the_newest_lines_and_the_total() {
         let hub = ProgressHub::new();
         for i in 0..5 {
-            hub.publish(format!("{i}"));
+            hub.publish(vec![format!("{i}")]);
         }
         assert_eq!(hub.tail(2), Some((vec!["3".into(), "4".into()], 5)));
         assert_eq!(hub.tail(9).unwrap().0.len(), 5);
     }
 
     #[test]
+    fn batches_append_in_order_and_overflow_like_single_lines() {
+        let one = ProgressHub::new();
+        let batch = ProgressHub::new();
+        let lines: Vec<String> = (0..(HUB_CAPACITY + 3)).map(|i| format!("{i}")).collect();
+        for line in &lines {
+            one.publish(vec![line.clone()]);
+        }
+        batch.publish(Vec::new());
+        batch.publish(lines[..5].to_vec());
+        batch.publish(lines[5..].to_vec());
+        assert_eq!(batch.poll(0, Duration::ZERO), one.poll(0, Duration::ZERO));
+        assert_eq!(batch.dropped(), 3);
+    }
+
+    #[test]
     fn dropped_is_zero_until_overflow() {
         let hub = ProgressHub::new();
-        hub.publish("a".into());
+        hub.publish(vec!["a".into()]);
         assert_eq!(hub.dropped(), 0);
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! A worker pops the highest-priority job and runs it in *slices* of
 //! `spec.slice` generations. At each slice boundary the job's
-//! checkpoint and state are persisted atomically; if other jobs are
+//! checkpoint is persisted atomically (its state too when the health
+//! changed, see [`crate::store`]); if other jobs are
 //! waiting the job re-enters the queue (cooperative preemption),
 //! otherwise it continues inline. Algorithms that cannot checkpoint
 //! (NSGA-II, island) always run to completion in one slice.
@@ -259,16 +260,31 @@ impl WatchdogSet {
 struct SegmentSink<'a> {
     jsonl: &'a mut JsonlSink<BufWriter<fs::File>>,
     hub: &'a ProgressHub,
+    /// Lines of the current generation not yet in the hub.
+    pending: Vec<String>,
     watch: &'a mut WatchdogSet,
     flight: &'a Mutex<FlightRecorder>,
     run_metrics: &'a mut RegistrySink,
+}
+
+impl SegmentSink<'_> {
+    /// Hands the pending lines to the hub as one batch. The sink does
+    /// this at every `GenerationEnd`, so a live subscriber wakes once per
+    /// generation rather than once per event; the worker does it when
+    /// the slice returns, before the job changes state.
+    fn publish_pending(&mut self) {
+        self.hub.publish(std::mem::take(&mut self.pending));
+    }
 }
 
 impl Sink for SegmentSink<'_> {
     fn record(&mut self, event: &RunEvent) {
         self.jsonl.record(event);
         self.flight.lock().unwrap().record(event);
-        self.hub.publish(event.to_json());
+        self.pending.push(event.to_json());
+        if event.kind() == EventKind::GenerationEnd {
+            self.publish_pending();
+        }
         self.watch.record(event);
         self.run_metrics.record(event);
     }
@@ -434,8 +450,8 @@ impl Server {
         for event in &kept {
             sink.record(event);
             flight.record(event);
-            rt.hub.publish(event.to_json());
         }
+        rt.hub.publish(kept.iter().map(RunEvent::to_json).collect());
         sink.flush()?;
         Ok(())
     }
@@ -465,12 +481,17 @@ impl Server {
             if jobs.contains_key(&id) {
                 return Err(ServerError::DuplicateJob(id));
             }
-            self.store.create_job(id, &spec)?;
-            self.store.write_state(id, &JobState::queued())?;
             jobs.insert(
                 id,
                 Arc::new(JobRuntime::new(spec.clone(), JobState::queued())),
             );
+        }
+        // The job's directory is created outside the jobs lock, so no
+        // worker or subscriber waits on this submit's disk writes. No
+        // `state.job` yet: the rescan reads a missing one as queued.
+        if let Err(e) = self.store.create_job(id, &spec) {
+            self.jobs.lock().unwrap().remove(&id);
+            return Err(e);
         }
         if let Err(e) = self.queue.push(id, spec.priority) {
             self.fail_job(id, &format!("not enqueued: {e}"));
@@ -755,6 +776,30 @@ impl Server {
         let _ = self.store.write_state(id, &state);
     }
 
+    /// Moves a job between in-flight statuses in memory only. The rescan
+    /// re-enqueues an in-flight job from its checkpoint whatever status
+    /// `state.job` holds, so persisting these transitions would record
+    /// nothing and cost a file replacement per slice.
+    fn set_live_status(rt: &JobRuntime, status: JobStatus) {
+        rt.state.lock().unwrap().status = status;
+    }
+
+    /// Records a slice boundary whose checkpoint is already on disk. The
+    /// rescan reads an in-flight job's generation from that checkpoint,
+    /// so `state.job` is rewritten only when the health it keeps for the
+    /// rescan changes.
+    fn suspend_state(&self, id: JobId, rt: &JobRuntime, generations: usize, health: JobHealth) {
+        let mut state = rt.state.lock().unwrap();
+        let persist = state.health != health;
+        state.status = JobStatus::Suspended;
+        state.generations = generations;
+        state.health = health;
+        if persist {
+            // Best-effort, as in `update_state`.
+            let _ = self.store.write_state(id, &state);
+        }
+    }
+
     fn fail_job(&self, id: JobId, message: &str) {
         if let Ok(rt) = self.runtime(id) {
             self.update_state(id, &rt, |s| {
@@ -836,7 +881,7 @@ impl Server {
                 return;
             }
         };
-        self.update_state(id, &rt, |s| s.status = JobStatus::Running);
+        Self::set_live_status(&rt, JobStatus::Running);
         let quantum = if spec.slice == 0 {
             usize::MAX
         } else {
@@ -860,6 +905,7 @@ impl Server {
             let mut sink = SegmentSink {
                 jsonl: &mut jsonl,
                 hub: &rt.hub,
+                pending: Vec::new(),
                 watch: &mut watch,
                 flight: &rt.flight,
                 run_metrics: &mut run_metrics,
@@ -869,6 +915,7 @@ impl Server {
                 Some(text) => opt.resume_until_dyn_with(text, target, &mut sink),
                 None => opt.run_until_dyn_with(spec.seed, target, &mut sink),
             };
+            sink.publish_pending();
             self.metrics.slices.observe_duration(slice_start.elapsed());
             match status {
                 Err(e) => {
@@ -900,12 +947,7 @@ impl Server {
                         return;
                     }
                     done_gens = generations;
-                    let health = watch.health();
-                    self.update_state(id, &rt, |s| {
-                        s.status = JobStatus::Suspended;
-                        s.generations = generations;
-                        s.health = health;
-                    });
+                    self.suspend_state(id, &rt, generations, watch.health());
                     if rt.cancel.load(Ordering::SeqCst) {
                         self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
                         self.finish_job(id, &rt);
@@ -921,7 +963,7 @@ impl Server {
                     if self.queue.contended() {
                         // Cooperative preemption: yield the worker.
                         self.metrics.preemptions.inc();
-                        self.update_state(id, &rt, |s| s.status = JobStatus::Queued);
+                        Self::set_live_status(&rt, JobStatus::Queued);
                         *rt.watch.lock().unwrap() = Some(watch);
                         self.queue.requeue(id, spec.priority);
                         self.queue.task_done();
@@ -1179,6 +1221,56 @@ mod tests {
         let server = Server::open(&root, ServerConfig::new()).unwrap();
         let id = JobId::parse("00000000deadbeef").unwrap();
         assert!(matches!(server.status(id), Err(ServerError::UnknownJob(_))));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn in_flight_transitions_stay_in_memory() {
+        let root = tmp_root("inflight");
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let id = server.submit(quick_spec("inflight").slice(2)).unwrap();
+        assert!(server.store().read_state(id).is_none());
+        // Two slices persist two checkpoints, then the budget kills the
+        // pool; a healthy job's state never changed in a way a restart
+        // needs, so it was never written.
+        assert!(!server.run_slices_at_most(2).unwrap());
+        assert_eq!(server.health(id).unwrap(), JobHealth::Healthy);
+        assert!(server.store().read_state(id).is_none());
+        let checkpoint = server.store().read_checkpoint(id).unwrap();
+        let live = server.status(id).unwrap();
+        assert_eq!(live.generations, 4);
+        assert_eq!(checkpoint_generation(&checkpoint), Some(4));
+        drop(server);
+
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let view = server.status(id).unwrap();
+        assert_eq!(view.status, JobStatus::Queued);
+        assert_eq!(view.generations, live.generations);
+        server.run_until_idle().unwrap();
+        let state = server.store().read_state(id).unwrap();
+        assert_eq!(state.status, JobStatus::Done);
+        assert_eq!(state.generations, 6);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_submit_leaves_no_job_behind() {
+        let root = tmp_root("submitfail");
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let spec = quick_spec("submitfail");
+        let id = spec.id();
+        // A file where the job's directory belongs makes the write fail.
+        let blocker = server.store().job_dir(id);
+        fs::write(&blocker, "not a directory").unwrap();
+        assert!(matches!(
+            server.submit(spec.clone()),
+            Err(ServerError::Io(_))
+        ));
+        assert!(matches!(server.status(id), Err(ServerError::UnknownJob(_))));
+        fs::remove_file(&blocker).unwrap();
+        assert_eq!(server.submit(spec).unwrap(), id);
+        server.run_until_idle().unwrap();
+        assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -7,6 +7,7 @@
 //!   job_<16-hex-id>/
 //!     spec.job        # canonical JobSpec line (written once at submit)
 //!     state.job       # status/progress/health, rewritten atomically
+//!                     # when it tells a restart something new
 //!     checkpoint.txt  # optimizer checkpoint text at the last slice
 //!     events.jsonl    # RunEvent stream (appended; torn tails healed)
 //!     outcome.cell    # final CellResult text (atomic, terminal only)
@@ -18,6 +19,13 @@
 //! *parsed defensively*: a torn or missing state file is treated as
 //! "in flight" by the rescan logic, because a dead daemon may have been
 //! killed before its first state write.
+//!
+//! The server writes `state.job` only where a restart reads something
+//! new from it: at a terminal transition, and at a slice boundary whose
+//! watchdog health changed. A submitted job has none until then, and
+//! moves between queued, running and suspended in memory: the rescan
+//! re-enqueues every in-flight job and takes its generation from
+//! `checkpoint.txt`.
 
 use std::fs;
 use std::io;
