@@ -44,7 +44,6 @@
 //! bit-identical to an uninterrupted one.
 
 use crate::checkpoint::{CellularCheckpoint, SavedIndividual};
-use crate::island::merged_front_objectives;
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use crate::topology::Topology;
 use engine::{EvaluationSession, EvaluatorKind, Stage, StageTimer};
@@ -62,15 +61,15 @@ use rand::{Rng, SeedableRng};
 /// [`CellularConfig::builder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellularConfig {
-    population_size: usize,
-    generations: usize,
-    topology: Topology,
-    migration_interval: usize,
-    migrants: usize,
-    openness: f64,
-    anisotropy: f64,
-    variation: Option<Variation>,
-    exec: EngineSetup,
+    pub(crate) population_size: usize,
+    pub(crate) generations: usize,
+    pub(crate) topology: Topology,
+    pub(crate) migration_interval: usize,
+    pub(crate) migrants: usize,
+    pub(crate) openness: f64,
+    pub(crate) anisotropy: f64,
+    pub(crate) variation: Option<Variation>,
+    pub(crate) exec: EngineSetup,
 }
 
 impl CellularConfig {
@@ -686,6 +685,17 @@ impl<P: Problem + Sync> CellularGa<P> {
             }
         }
     }
+}
+
+/// Feasible globally non-dominated front of the merged cells, computed
+/// on a clone so ranking never disturbs the cells.
+fn merged_front_objectives(cells: &[Vec<Individual>]) -> Vec<Vec<f64>> {
+    let mut pop: Vec<Individual> = cells.iter().flatten().cloned().collect();
+    rank_and_crowd(&mut pop);
+    pop.iter()
+        .filter(|m| m.rank == 0 && m.is_feasible())
+        .map(|m| m.objectives().to_vec())
+        .collect()
 }
 
 /// One migration event over a structured population: each cell clones

@@ -1,7 +1,8 @@
-//! Plain-text run checkpoints: everything needed to suspend a SACGA or
-//! MESACGA run at a generation boundary and later resume it
-//! *bit-identically* — population, RNG state, generation counters,
-//! annealing bookkeeping, and engine statistics.
+//! Plain-text run checkpoints: everything needed to suspend a
+//! partition-GA (SACGA, steady-state, MESACGA) or cellular run at a
+//! generation boundary and later resume it *bit-identically* —
+//! population, RNG state, generation counters, annealing bookkeeping,
+//! and engine statistics.
 //!
 //! The format is line-oriented ASCII with no external dependencies.
 //! Floating-point values are written as the 16-hex-digit bit pattern of
@@ -16,9 +17,12 @@ use moea::individual::Individual;
 use moea::{Evaluation, OptimizeError};
 use std::time::Duration;
 
-const SACGA_HEADER: &str = "sacga-checkpoint v1";
 const MESACGA_HEADER: &str = "mesacga-checkpoint v1";
 const STEADY_HEADER: &str = "steady-checkpoint v1";
+/// Header of the checkpoints the dedicated generational SACGA loop
+/// wrote: an engine state with no look-ahead, still accepted by
+/// [`SteadyCheckpoint::from_text`] so existing job stores resume.
+const LEGACY_SACGA_HEADER: &str = "sacga-checkpoint v1";
 const CELLULAR_HEADER: &str = "cellular-checkpoint v1";
 
 /// A serialized individual: genes, evaluation, and ranking bookkeeping.
@@ -62,8 +66,7 @@ impl SavedIndividual {
     }
 }
 
-/// Complete state of the shared partition-GA engine at a generation
-/// boundary.
+/// Complete state of the partition-GA flow at a generation boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// RNG internal state (xoshiro256**).
@@ -91,42 +94,6 @@ pub struct EngineState {
     pub history: Vec<GenerationStats>,
     /// Evaluation-engine counters at suspension time.
     pub stats: EngineStats,
-}
-
-/// A suspended SACGA run, resumable via
-/// [`Optimizer::resume`](crate::telemetry::Optimizer::resume) on a
-/// [`Sacga`](crate::sacga::Sacga) configured identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SacgaCheckpoint {
-    /// The engine state at the suspension boundary.
-    pub state: EngineState,
-}
-
-impl SacgaCheckpoint {
-    /// Serializes the checkpoint to its text form.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SACGA_HEADER);
-        out.push('\n');
-        write_state(&mut out, &self.state);
-        out.push_str("end\n");
-        out
-    }
-
-    /// Parses a checkpoint from its text form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError::InvalidCheckpoint`] on a wrong header,
-    /// malformed records, or truncation.
-    pub fn from_text(text: &str) -> Result<Self, OptimizeError> {
-        let mut lines = Lines::new(text);
-        lines.expect_literal(SACGA_HEADER)?;
-        let state = parse_state(&mut lines)?;
-        lines.expect_literal("end")?;
-        lines.expect_exhausted()?;
-        Ok(SacgaCheckpoint { state })
-    }
 }
 
 /// A suspended MESACGA run, resumable via
@@ -177,14 +144,14 @@ impl MesacgaCheckpoint {
         let phase_index = lines.tagged_usize("phase_index")?;
         let phase_start = lines.tagged_usize("phase_start")?;
         let n_fronts = lines.tagged_usize("phase_fronts")?;
-        let mut phase_fronts = Vec::with_capacity(n_fronts);
+        let mut phase_fronts = Vec::new();
         for fi in 0..n_fronts {
             let (no, toks) = lines.tagged("f", 2)?;
             if parse_usize(toks[0], no)? != fi {
                 return Err(bad(no, "front records out of order"));
             }
             let count = parse_usize(toks[1], no)?;
-            let mut front = Vec::with_capacity(count);
+            let mut front = Vec::new();
             for _ in 0..count {
                 front.push(parse_individual(&mut lines)?);
             }
@@ -201,9 +168,10 @@ impl MesacgaCheckpoint {
     }
 }
 
-/// A suspended steady-state SACGA run, resumable via
+/// A suspended partition-GA flow, resumable via
 /// [`Optimizer::resume`](crate::telemetry::Optimizer::resume) on a
-/// [`SteadySacga`](crate::steady::SteadySacga) configured identically.
+/// [`SteadySacga`](crate::steady::SteadySacga) or
+/// [`Sacga`](crate::sacga::Sacga) configured identically.
 ///
 /// Steady-state production runs ahead of merging, so at a generation
 /// boundary there may be offspring already submitted (their selection and
@@ -237,7 +205,9 @@ impl SteadyCheckpoint {
         out
     }
 
-    /// Parses a checkpoint from its text form.
+    /// Parses a checkpoint from its text form. Legacy
+    /// `sacga-checkpoint v1` text (an engine state without a pending
+    /// block) parses as a checkpoint with nothing pending.
     ///
     /// # Errors
     ///
@@ -245,12 +215,19 @@ impl SteadyCheckpoint {
     /// malformed records, or truncation.
     pub fn from_text(text: &str) -> Result<Self, OptimizeError> {
         let mut lines = Lines::new(text);
-        lines.expect_literal(STEADY_HEADER)?;
+        let (no, header) = lines.next_line()?;
+        if header != STEADY_HEADER && header != LEGACY_SACGA_HEADER {
+            return Err(bad(
+                no,
+                format!("expected `{STEADY_HEADER}`, got `{header}`"),
+            ));
+        }
         let state = parse_state(&mut lines)?;
-        let n_pending = lines.tagged_usize("pending")?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push(parse_individual(&mut lines)?);
+        let mut pending = Vec::new();
+        if header == STEADY_HEADER {
+            for _ in 0..lines.tagged_usize("pending")? {
+                pending.push(parse_individual(&mut lines)?);
+            }
         }
         lines.expect_literal("end")?;
         lines.expect_exhausted()?;
@@ -327,14 +304,14 @@ impl CellularCheckpoint {
         let history = parse_history(&mut lines)?;
         let stats = parse_stats(&mut lines)?;
         let n_cells = lines.tagged_usize("cells")?;
-        let mut cells = Vec::with_capacity(n_cells);
+        let mut cells = Vec::new();
         for ci in 0..n_cells {
             let (no, toks) = lines.tagged("c", 2)?;
             if parse_usize(toks[0], no)? != ci {
                 return Err(bad(no, "cell records out of order"));
             }
             let count = parse_usize(toks[1], no)?;
-            let mut cell = Vec::with_capacity(count);
+            let mut cell = Vec::new();
             for _ in 0..count {
                 cell.push(parse_individual(&mut lines)?);
             }
@@ -567,10 +544,10 @@ fn parse_individual(lines: &mut Lines<'_>) -> Result<SavedIndividual, OptimizeEr
     let nobj = parse_usize(toks[3], no)?;
     let nv = parse_usize(toks[4], no)?;
     let values = &toks[5..];
-    if values.len() != ng + nobj + nv {
+    if Some(values.len()) != ng.checked_add(nobj).and_then(|v| v.checked_add(nv)) {
         return Err(bad(
             no,
-            format!("expected {} values, got {}", ng + nobj + nv, values.len()),
+            format!("expected {ng} + {nobj} + {nv} values, got {}", values.len()),
         ));
     }
     let mut parsed = Vec::with_capacity(values.len());
@@ -626,14 +603,14 @@ fn parse_state(lines: &mut Lines<'_>) -> Result<EngineState, OptimizeError> {
             alive.len()
         )));
     }
-    let mut partitions = Vec::with_capacity(n_partitions);
+    let mut partitions = Vec::new();
     for pi in 0..n_partitions {
         let (no, toks) = lines.tagged("p", 2)?;
         if parse_usize(toks[0], no)? != pi {
             return Err(bad(no, "partition records out of order"));
         }
         let count = parse_usize(toks[1], no)?;
-        let mut part = Vec::with_capacity(count);
+        let mut part = Vec::new();
         for _ in 0..count {
             part.push(parse_individual(lines)?);
         }
@@ -657,7 +634,7 @@ fn parse_state(lines: &mut Lines<'_>) -> Result<EngineState, OptimizeError> {
 
 fn parse_history(lines: &mut Lines<'_>) -> Result<Vec<GenerationStats>, OptimizeError> {
     let n_history = lines.tagged_usize("history")?;
-    let mut history = Vec::with_capacity(n_history);
+    let mut history = Vec::new();
     for _ in 0..n_history {
         let (no, toks) = lines.tagged("h", 6)?;
         history.push(GenerationStats {
@@ -694,22 +671,6 @@ fn parse_stats(lines: &mut Lines<'_>) -> Result<EngineStats, OptimizeError> {
         // Absent in pre-screen checkpoints: default to zero.
         screened: toks.get(14).map_or(Ok(0), |t| parse_u64(t, no))?,
     })
-}
-
-impl crate::telemetry::CheckpointText for SacgaCheckpoint {
-    const SUSPENDABLE: bool = true;
-
-    fn to_checkpoint_text(&self) -> String {
-        self.to_text()
-    }
-
-    fn from_checkpoint_text(text: &str) -> Result<Self, OptimizeError> {
-        SacgaCheckpoint::from_text(text)
-    }
-
-    fn generation(&self) -> usize {
-        self.state.gen
-    }
 }
 
 impl crate::telemetry::CheckpointText for SteadyCheckpoint {
@@ -843,24 +804,35 @@ mod tests {
         }
     }
 
+    /// `sacga-checkpoint v1` text of `state`, as the generational loop
+    /// wrote it: the steady form without its pending block.
+    fn legacy_text(state: EngineState) -> String {
+        SteadyCheckpoint {
+            state,
+            pending: vec![],
+        }
+        .to_text()
+        .replace(STEADY_HEADER, LEGACY_SACGA_HEADER)
+        .replace("pending 0\n", "")
+    }
+
     #[test]
     fn sacga_checkpoint_round_trips() {
-        let cp = SacgaCheckpoint {
-            state: sample_state(),
-        };
-        let text = cp.to_text();
-        let back = SacgaCheckpoint::from_text(&text).unwrap();
-        assert_eq!(cp, back);
-        // second serialization is byte-identical (canonical form)
-        assert_eq!(text, back.to_text());
+        // Legacy SACGA text parses into a steady checkpoint with nothing
+        // pending, which re-serializes in the steady form.
+        let text = legacy_text(sample_state());
+        assert!(text.starts_with("sacga-checkpoint v1\n"));
+        let back = SteadyCheckpoint::from_text(&text).unwrap();
+        assert_eq!(back.state, sample_state());
+        assert!(back.pending.is_empty());
+        let steady = back.to_text();
+        assert!(steady.starts_with("steady-checkpoint v1\n"));
+        assert_eq!(SteadyCheckpoint::from_text(&steady).unwrap(), back);
     }
 
     #[test]
     fn legacy_14_token_stats_line_parses_with_zero_screened() {
-        let cp = SacgaCheckpoint {
-            state: sample_state(),
-        };
-        let text = cp.to_text();
+        let text = legacy_text(sample_state());
         // Strip the trailing token to simulate a checkpoint written before
         // the surrogate screen existed.
         let legacy: String = text
@@ -876,7 +848,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n")
             + "\n";
-        let back = SacgaCheckpoint::from_text(&legacy).unwrap();
+        let back = SteadyCheckpoint::from_text(&legacy).unwrap();
         assert_eq!(back.state.stats.screened, 0);
         assert_eq!(back.state.stats.candidates, 40);
     }
@@ -974,11 +946,17 @@ mod tests {
             state: sample_state(),
             pending: vec![],
         };
-        let sacga = SacgaCheckpoint {
+        let mesacga = MesacgaCheckpoint {
             state: sample_state(),
+            phase_index: 0,
+            phase_start: 0,
+            phase_fronts: vec![],
         };
-        assert!(SacgaCheckpoint::from_text(&steady.to_text()).is_err());
-        assert!(SteadyCheckpoint::from_text(&sacga.to_text()).is_err());
+        assert!(MesacgaCheckpoint::from_text(&steady.to_text()).is_err());
+        assert!(SteadyCheckpoint::from_text(&mesacga.to_text()).is_err());
+        // A legacy SACGA state never carries a pending block.
+        let legacy = legacy_text(sample_state()).replace("end\n", "pending 0\nend\n");
+        assert!(SteadyCheckpoint::from_text(&legacy).is_err());
         // truncation before the pending block is caught
         let text = steady.to_text();
         let truncated = text.rsplit_once("pending").unwrap().0;
@@ -1009,31 +987,32 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_text_is_rejected() {
-        let cp = SacgaCheckpoint {
+        let text = SteadyCheckpoint {
             state: sample_state(),
-        };
-        let text = cp.to_text();
+            pending: vec![],
+        }
+        .to_text();
         // truncation: drop the trailing `end`
         let truncated = text.rsplit_once("end").unwrap().0;
-        assert!(SacgaCheckpoint::from_text(truncated).is_err());
+        assert!(SteadyCheckpoint::from_text(truncated).is_err());
         // wrong header
-        assert!(SacgaCheckpoint::from_text("nonsense v1\nend\n").is_err());
-        // mesacga header fed to sacga parser and vice versa
-        let m = MesacgaCheckpoint {
-            state: sample_state(),
-            phase_index: 0,
-            phase_start: 0,
-            phase_fronts: vec![],
-        };
-        assert!(SacgaCheckpoint::from_text(&m.to_text()).is_err());
-        assert!(MesacgaCheckpoint::from_text(&text).is_err());
+        assert!(SteadyCheckpoint::from_text("nonsense v1\nend\n").is_err());
         // corrupt hex
         let corrupt = text.replace("rng", "rng zz");
-        assert!(SacgaCheckpoint::from_text(&corrupt).is_err());
+        assert!(SteadyCheckpoint::from_text(&corrupt).is_err());
         // trailing garbage
         let mut trailing = text.clone();
         trailing.push_str("junk\n");
-        assert!(SacgaCheckpoint::from_text(&trailing).is_err());
+        assert!(SteadyCheckpoint::from_text(&trailing).is_err());
+        // counts far beyond the text, or overflowing, are errors
+        let huge = text.replace("p 0 1", "p 0 18446744073709551615");
+        assert!(SteadyCheckpoint::from_text(&huge).is_err());
+        let overflow = text.replace(
+            "i 0 7ff0000000000000 2 2 1",
+            "i 0 7ff0000000000000 18446744073709551615 2 1",
+        );
+        assert_ne!(overflow, text);
+        assert!(SteadyCheckpoint::from_text(&overflow).is_err());
     }
 
     #[test]

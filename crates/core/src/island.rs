@@ -15,16 +15,14 @@
 //! island's best individuals. Compare against SACGA with the
 //! `ablation_competition_modes` harness or your own experiments.
 
-use crate::telemetry::{EventKind, NoCheckpoint, NullSink, Optimizer, RunEvent, Sink};
-use engine::{EvaluatorKind, Stage, StageTimer};
-use moea::individual::Individual;
-use moea::operators::{random_vector, Variation};
+use crate::cellular::{CellularConfig, CellularGa};
+use crate::checkpoint::CellularCheckpoint;
+use crate::telemetry::{Optimizer, Sink};
+use crate::topology::Topology;
+use engine::EvaluatorKind;
+use moea::operators::Variation;
 use moea::problem::Problem;
-use moea::selection::binary_tournament;
-use moea::sorting::{environmental_selection, rank_and_crowd};
-use moea::{GenerationStats, OptimizeError, RunOutcome, RunStatus};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use moea::{OptimizeError, RunOutcome, RunStatus};
 
 /// Configuration of an island-model run. Build with
 /// [`IslandConfig::builder`].
@@ -230,7 +228,32 @@ impl IslandConfigBuilder {
     }
 }
 
-/// The island-model multi-objective GA.
+impl IslandConfig {
+    /// The cellular configuration this island model is: `islands` cells
+    /// on a fully-connected graph with closed mating, whose first
+    /// neighbor is the ring-migration target `(i + 1) % islands`. A
+    /// single island has no neighbors and never migrates, so it skips
+    /// the topology's two-cell minimum.
+    fn cellular(&self) -> CellularConfig {
+        CellularConfig {
+            population_size: self.population_size,
+            generations: self.generations,
+            topology: Topology::FullyConnected {
+                cells: self.islands,
+            },
+            migration_interval: self.migration_interval,
+            migrants: self.migrants,
+            openness: 0.0,
+            anisotropy: 0.5,
+            variation: self.variation,
+            exec: self.exec.clone(),
+        }
+    }
+}
+
+/// The island-model multi-objective GA: the cellular loop on a
+/// fully-connected topology with closed mating. Its checkpoints are
+/// [`CellularCheckpoint`]s.
 ///
 /// # Examples
 ///
@@ -251,14 +274,15 @@ impl IslandConfigBuilder {
 /// ```
 #[derive(Debug)]
 pub struct IslandGa<P: Problem> {
-    problem: P,
-    config: IslandConfig,
+    cells: CellularGa<P>,
 }
 
 impl<P: Problem> IslandGa<P> {
     /// Creates an optimizer for `problem` with `config`.
     pub fn new(problem: P, config: IslandConfig) -> Self {
-        IslandGa { problem, config }
+        IslandGa {
+            cells: CellularGa::new(problem, config.cellular()),
+        }
     }
 
     /// Runs with a seeded RNG.
@@ -272,273 +296,52 @@ impl<P: Problem> IslandGa<P> {
     where
         P: Sync,
     {
-        self.drive(seed, &mut NullSink)
-    }
-
-    /// The single run loop behind both entry points. Event emission reads
-    /// state but never consumes RNG, so seeded runs are bit-identical with
-    /// or without a sink.
-    fn drive(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError>
-    where
-        P: Sync,
-    {
-        let mut rng = StdRng::seed_from_u64(seed);
-        if self.problem.num_objectives() == 0 {
-            return Err(OptimizeError::invalid_problem(
-                "problem must declare at least one objective",
-            ));
-        }
-        let bounds = self.problem.bounds().clone();
-        let variation = self
-            .config
-            .variation
-            .unwrap_or_else(|| Variation::standard(bounds.len()));
-        let per_island = self.config.population_size / self.config.islands;
-        // One shared engine: the memoization cache spans the archipelago.
-        let mut exec = self
-            .config
-            .exec
-            .build_engine(self.problem.cache_canonicalizer());
-        let eval_fn = |genes: &[f64]| self.problem.evaluate(genes);
-        let batch_fn = |chunk: &[Vec<f64>]| self.problem.evaluate_all(chunk);
-
-        // Draw every island's genes first (sole RNG consumer), then
-        // batch-evaluate the whole archipelago in one engine call.
-        let init_genes: Vec<Vec<f64>> = (0..self.config.islands * per_island)
-            .map(|_| random_vector(&mut rng, &bounds))
-            .collect();
-        let init_evals = exec.try_evaluate_batch_with(&init_genes, &eval_fn, &batch_fn)?;
-        let mut members = init_genes
-            .into_iter()
-            .zip(init_evals)
-            .map(|(genes, ev)| Individual::new(genes, ev));
-        let mut islands: Vec<Vec<Individual>> = (0..self.config.islands)
-            .map(|_| members.by_ref().take(per_island).collect())
-            .collect();
-        self.problem.check_evaluation(&islands[0][0].evaluation)?;
-        for isl in &mut islands {
-            rank_and_crowd(isl);
-        }
-
-        let want_fault = sink.wants(EventKind::EvaluationFault);
-        let want_generation = sink.wants(EventKind::GenerationEnd);
-        let want_promotion = sink.wants(EventKind::Promotion);
-        let mut timer = StageTimer::new(sink.wants(EventKind::StageTiming));
-        let mut stats_mark = exec.stats().clone();
-        if want_fault {
-            for fault in exec.take_fault_events() {
-                sink.record(&RunEvent::EvaluationFault {
-                    generation: 0,
-                    kind: fault.kind,
-                    failures: fault.failures,
-                    resolution: fault.resolution,
-                });
-            }
-        }
-
-        let mut history = Vec::with_capacity(self.config.generations);
-        let mut migrations = 0usize;
-        for gen in 1..=self.config.generations {
-            // Independent evolution on each island (µ+λ with crowded
-            // tournament parents).
-            for isl in islands.iter_mut() {
-                timer.start(Stage::Variation);
-                let mut child_genes: Vec<Vec<f64>> = Vec::with_capacity(per_island);
-                while child_genes.len() < per_island {
-                    let pa = binary_tournament(&mut rng, isl);
-                    let pb = binary_tournament(&mut rng, isl);
-                    let (c1, c2) =
-                        variation.offspring(&mut rng, &isl[pa].genes, &isl[pb].genes, &bounds);
-                    child_genes.push(c1);
-                    if child_genes.len() < per_island {
-                        child_genes.push(c2);
-                    }
-                }
-                timer.start(Stage::Evaluation);
-                let evals = exec.try_evaluate_batch_with(&child_genes, &eval_fn, &batch_fn)?;
-                timer.start(Stage::Selection);
-                let offspring: Vec<Individual> = child_genes
-                    .into_iter()
-                    .zip(evals)
-                    .map(|(genes, ev)| Individual::new(genes, ev))
-                    .collect();
-                let mut combined = std::mem::take(isl);
-                combined.extend(offspring);
-                *isl = environmental_selection(combined, per_island);
-                timer.stop();
-            }
-
-            // Ring migration.
-            timer.start(Stage::Promotion);
-            let mut migrated = 0usize;
-            if gen % self.config.migration_interval == 0 && self.config.islands > 1 {
-                migrations += 1;
-                let k = islands.len();
-                let mut candidates = 0usize;
-                let mut outgoing: Vec<Vec<Individual>> = Vec::with_capacity(k);
-                for isl in &islands {
-                    let rank0: Vec<&Individual> = isl.iter().filter(|m| m.rank == 0).collect();
-                    candidates += if rank0.is_empty() {
-                        isl.len()
-                    } else {
-                        rank0.len()
-                    };
-                    let mut picks = Vec::with_capacity(self.config.migrants);
-                    for _ in 0..self.config.migrants {
-                        let src = if rank0.is_empty() {
-                            &isl[rng.gen_range(0..isl.len())]
-                        } else {
-                            rank0[rng.gen_range(0..rank0.len())]
-                        };
-                        picks.push(src.clone());
-                    }
-                    outgoing.push(picks);
-                }
-                for (i, picks) in outgoing.into_iter().enumerate() {
-                    let dst = (i + 1) % k;
-                    let isl = &mut islands[dst];
-                    let mut combined = std::mem::take(isl);
-                    combined.extend(picks);
-                    *isl = environmental_selection(combined, per_island);
-                }
-                migrated = k * self.config.migrants;
-                if want_promotion {
-                    sink.record(&RunEvent::Promotion {
-                        generation: gen,
-                        promoted: migrated,
-                        candidates,
-                    });
-                }
-            }
-            timer.stop();
-
-            let feasible = islands.iter().flatten().filter(|m| m.is_feasible()).count();
-            history.push(GenerationStats {
-                generation: gen,
-                phase: 2,
-                temperature: 1.0,
-                promoted: migrated,
-                feasible,
-                population: per_island * self.config.islands,
-            });
-            if want_fault {
-                for fault in exec.take_fault_events() {
-                    sink.record(&RunEvent::EvaluationFault {
-                        generation: gen,
-                        kind: fault.kind,
-                        failures: fault.failures,
-                        resolution: fault.resolution,
-                    });
-                }
-            }
-            if want_generation {
-                sink.record(&RunEvent::GenerationEnd {
-                    generation: gen,
-                    phase: 2,
-                    temperature: 1.0,
-                    promoted: migrated,
-                    feasible,
-                    population: per_island * self.config.islands,
-                    evaluations: exec.stats().evaluations,
-                    front: merged_front_objectives(&islands),
-                });
-            }
-            if timer.is_enabled() {
-                let stages = timer.take();
-                let delta = exec.stats().since(&stats_mark);
-                stats_mark = exec.stats().clone();
-                sink.record(&RunEvent::StageTiming {
-                    generation: gen,
-                    stages,
-                    candidates: delta.candidates,
-                    evaluations: delta.evaluations,
-                    cache_hits: delta.cache_hits,
-                });
-            }
-        }
-
-        // Final global competition over the merged archipelago.
-        let mut population: Vec<Individual> = islands.into_iter().flatten().collect();
-        rank_and_crowd(&mut population);
-        let front = population
-            .iter()
-            .filter(|m| m.rank == 0 && m.is_feasible())
-            .cloned()
-            .collect();
-        let stats = exec.into_stats();
-        Ok(RunOutcome {
-            population,
-            front,
-            evaluations: stats.evaluations as usize,
-            generations: self.config.generations,
-            gen_t: 0,
-            history,
-            phase_fronts: Vec::new(),
-            migrations,
-            stats,
-        })
+        self.cells.run_seeded(seed)
     }
 }
 
-/// Feasible globally non-dominated front of the merged archipelago,
-/// computed on a clone so ranking never disturbs the islands. Shared
-/// with the cellular loop, whose cells are islands by another name.
-pub(crate) fn merged_front_objectives(islands: &[Vec<Individual>]) -> Vec<Vec<f64>> {
-    let mut pop: Vec<Individual> = islands.iter().flatten().cloned().collect();
-    rank_and_crowd(&mut pop);
-    pop.iter()
-        .filter(|m| m.rank == 0 && m.is_feasible())
-        .map(|m| m.objectives().to_vec())
-        .collect()
-}
-
-/// The unified run API. The island model cannot suspend, so
-/// [`Optimizer::Checkpoint`] is the uninhabited [`NoCheckpoint`] and
-/// bounded runs are rejected.
 impl<P: Problem + Sync> Optimizer for IslandGa<P> {
-    type Checkpoint = NoCheckpoint;
+    type Checkpoint = CellularCheckpoint;
 
     fn algorithm(&self) -> &'static str {
         "island"
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(seed, sink)
+        self.cells.run_with(seed, sink)
     }
 
     fn run_until_with(
         &self,
-        _seed: u64,
-        _stop_after: usize,
-        _sink: &mut dyn Sink,
-    ) -> Result<RunStatus<NoCheckpoint>, OptimizeError> {
-        Err(OptimizeError::invalid_config(
-            "stop_after",
-            "the island model does not support suspension; use run",
-        ))
+        seed: u64,
+        stop_after: usize,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError> {
+        self.cells.run_until_with(seed, stop_after, sink)
     }
 
     fn resume_with(
         &self,
-        checkpoint: &NoCheckpoint,
-        _sink: &mut dyn Sink,
+        checkpoint: &CellularCheckpoint,
+        sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        match *checkpoint {}
+        self.cells.resume_with(checkpoint, sink)
     }
 
     fn resume_until_with(
         &self,
-        checkpoint: &NoCheckpoint,
-        _stop_after: usize,
-        _sink: &mut dyn Sink,
-    ) -> Result<RunStatus<NoCheckpoint>, OptimizeError> {
-        match *checkpoint {}
+        checkpoint: &CellularCheckpoint,
+        stop_after: usize,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError> {
+        self.cells.resume_until_with(checkpoint, stop_after, sink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::RunEvent;
     use moea::problems::{Schaffer, Zdt1};
 
     fn quick(islands: usize, interval: usize) -> IslandConfig {
@@ -617,7 +420,12 @@ mod tests {
             .filter(|e| matches!(e, RunEvent::Promotion { .. }))
             .count();
         assert_eq!(promotions, watched.migrations);
-        assert!(ga.run_until(1, 5).is_err());
+        // The archipelago suspends like any cellular run.
+        let RunStatus::Suspended(cp) = ga.run_until(1, 5).unwrap() else {
+            panic!("island run should suspend at generation 5");
+        };
+        assert_eq!(cp.gen, 5);
+        assert_eq!(ga.resume(&cp).unwrap().history, bare.history);
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub mod topology;
 pub use anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
 pub use cellular::{CellularConfig, CellularGa};
 pub use checkpoint::{
-    cell_artifact_name, CellularCheckpoint, EngineState, MesacgaCheckpoint, SacgaCheckpoint,
-    SavedIndividual, SteadyCheckpoint,
+    cell_artifact_name, CellularCheckpoint, EngineState, MesacgaCheckpoint, SavedIndividual,
+    SteadyCheckpoint,
 };
 pub use island::{IslandConfig, IslandGa};
 pub use mesacga::{Mesacga, MesacgaConfig, PhaseSpec};

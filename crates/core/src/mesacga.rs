@@ -13,15 +13,12 @@
 //! partitions, each running `span` iterations, after a pure-local phase.
 
 use crate::anneal::ProbabilityShaper;
-use crate::checkpoint::{EngineState, MesacgaCheckpoint, SavedIndividual};
-use crate::partition::PartitionGrid;
-use crate::sacga::{population_front, Engine, SacgaConfig};
-use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
-use moea::individual::Individual;
+use crate::checkpoint::MesacgaCheckpoint;
+use crate::sacga::SacgaConfig;
+use crate::steady::{self, Launch, Resume, SteadyConfig};
+use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
 use moea::problem::Problem;
 use moea::{OptimizeError, RunOutcome, RunStatus};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One MESACGA phase: a partition count and how many generations to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +39,7 @@ impl PhaseSpec {
 /// Configuration of a MESACGA run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MesacgaConfig {
-    pub(crate) base: SacgaConfig,
+    pub(crate) flow: SteadyConfig,
     pub(crate) phases: Vec<PhaseSpec>,
 }
 
@@ -275,19 +272,14 @@ impl MesacgaConfigBuilder {
         let mut base = base_builder.build()?;
         base.exec = self.exec;
         Ok(MesacgaConfig {
-            base,
+            flow: SteadyConfig::generational(base),
             phases: self.phases,
         })
     }
 }
 
-/// How a drive begins: a fresh seed or a stored checkpoint.
-enum Launch<'c> {
-    Seed(u64),
-    Checkpoint(&'c MesacgaCheckpoint),
-}
-
-/// The MESACGA optimizer.
+/// The MESACGA optimizer: the partition-GA flow on the generational
+/// schedule, driven through the configured phase list.
 #[derive(Debug)]
 pub struct Mesacga<P: Problem> {
     problem: P,
@@ -312,172 +304,55 @@ impl<P: Problem> Mesacga<P> {
     where
         P: Sync,
     {
-        self.drive(Launch::Seed(seed), None, &mut NullSink)
-            .map(expect_complete)
+        self.run_with(seed, &mut NullSink)
     }
+}
 
-    /// The shared run loop: phase I, then the expanding-partition cascade.
-    /// Suspension can happen before any pending generation; the checkpoint
-    /// records which phase was active and where its annealing schedule
-    /// started, so the resumed run re-derives identical constants.
-    /// Structured events flow into `sink`; emission never consumes RNG,
-    /// so instrumented and bare runs are bit-identical.
+impl<P: Problem + Sync> Mesacga<P> {
+    /// Drives the flow through the phase schedule. A checkpoint records
+    /// which phase was active and where its annealing schedule started,
+    /// so the resumed run re-derives identical constants.
     fn drive(
         &self,
-        launch: Launch<'_>,
+        checkpoint: Option<&MesacgaCheckpoint>,
+        seed: u64,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
-    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError>
-    where
-        P: Sync,
-    {
-        let base = &self.config.base;
-        let should_stop = |gen: usize| stop_after.is_some_and(|cap| gen >= cap);
-        let fresh = matches!(launch, Launch::Seed(_));
-        let (mut rng, mut engine, phase1_done, mut gen_t, resume_phase, mut phase_fronts) =
-            match launch {
-                Launch::Seed(seed) => {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let engine = Engine::start(&self.problem, base, &mut rng)?;
-                    let fronts = Vec::with_capacity(self.config.phases.len());
-                    (rng, engine, false, 0, None, fronts)
+    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
+        let launch = match checkpoint {
+            None => Launch::Seed(seed),
+            Some(cp) => Launch::Resume(Resume {
+                state: &cp.state,
+                pending: &[],
+                phase_index: cp.phase_index,
+                phase_start: cp.phase_start,
+                phase_fronts: &cp.phase_fronts,
+            }),
+        };
+        let phases = Some(self.config.phases.as_slice());
+        Ok(
+            match steady::drive(
+                &self.problem,
+                &self.config.flow,
+                phases,
+                launch,
+                stop_after,
+                sink,
+            )? {
+                RunStatus::Complete(outcome) => RunStatus::Complete(outcome),
+                RunStatus::Suspended(s) => {
+                    // The generational schedule merges every submission
+                    // before a boundary: nothing is ever pending.
+                    debug_assert!(s.pending.is_empty());
+                    RunStatus::Suspended(Box::new(MesacgaCheckpoint {
+                        state: s.state,
+                        phase_index: s.phase_index,
+                        phase_start: s.phase_start,
+                        phase_fronts: s.phase_fronts,
+                    }))
                 }
-                Launch::Checkpoint(cp) => {
-                    if cp.state.phase1_done && cp.phase_index >= self.config.phases.len() {
-                        return Err(OptimizeError::invalid_checkpoint(format!(
-                            "phase index {} out of range for a {}-phase schedule",
-                            cp.phase_index,
-                            self.config.phases.len()
-                        )));
-                    }
-                    let (engine, rng) = Engine::restore(&self.problem, base, &cp.state)?;
-                    let fronts: Vec<Vec<Individual>> = cp
-                        .phase_fronts
-                        .iter()
-                        .map(|f| f.iter().map(SavedIndividual::to_individual).collect())
-                        .collect();
-                    // A checkpoint is only ever taken *inside* a phase's
-                    // span, i.e. after its regrid: resuming must skip the
-                    // regrid and reuse the stored schedule origin.
-                    let resume_phase = cp
-                        .state
-                        .phase1_done
-                        .then_some((cp.phase_index, cp.phase_start));
-                    (
-                        rng,
-                        engine,
-                        cp.state.phase1_done,
-                        cp.state.gen_t,
-                        resume_phase,
-                        fronts,
-                    )
-                }
-            };
-
-        if sink.wants(EventKind::StageTiming) {
-            engine.enable_timing();
-        }
-        // Faults from the initial-population evaluation surface as
-        // generation-0 events. A resumed segment emits nothing for the
-        // checkpoint generation — its events belong to the segment that
-        // executed it.
-        if fresh {
-            engine.emit_generation(sink);
-        } else {
-            engine.discard_restored_faults();
-        }
-
-        // Phase I: pure local competition with the first phase's grid.
-        if !phase1_done {
-            let mut feasibility = sink
-                .wants(EventKind::PartitionFeasible)
-                .then(|| engine.partition_feasibility());
-            while engine.gen < base.phase1_max
-                && !(engine.pop.all_partitions_feasible() && engine.gen > 0)
-            {
-                if should_stop(engine.gen) {
-                    return Ok(suspended(
-                        sink,
-                        engine.snapshot(&rng, false, 0),
-                        0,
-                        0,
-                        &phase_fronts,
-                    ));
-                }
-                engine.local_generation(&mut rng)?;
-                if let Some(before) = &mut feasibility {
-                    let now = engine.partition_feasibility();
-                    for (p, (was, is)) in before.iter().zip(&now).enumerate() {
-                        if !was && *is {
-                            sink.record(&RunEvent::PartitionFeasible {
-                                generation: engine.gen,
-                                partition: p,
-                            });
-                        }
-                    }
-                    *before = now;
-                }
-                engine.emit_generation(sink);
-            }
-            if !engine.pop.all_partitions_feasible() {
-                engine.pop.discard_infeasible_partitions();
-            }
-            gen_t = engine.gen;
-        }
-
-        // Expanding-partition SACGA phases.
-        let first_phase = resume_phase.map_or(0, |(pi, _)| pi);
-        for (pi, phase) in self.config.phases.iter().enumerate().skip(first_phase) {
-            let phase_start = match resume_phase {
-                Some((rpi, start)) if rpi == pi => start,
-                _ => {
-                    if pi > 0 || engine.pop.grid().partition_count() != phase.partitions {
-                        let new_grid = engine.pop.grid().with_partitions(phase.partitions)?;
-                        engine.pop = take_and_regrid(&mut engine.pop, new_grid);
-                        engine.pop.rank_locally();
-                    }
-                    if sink.wants(EventKind::PhaseTransition) {
-                        sink.record(&RunEvent::PhaseTransition {
-                            generation: engine.gen,
-                            phase_index: pi,
-                            partitions: phase.partitions,
-                            span: phase.span,
-                        });
-                    }
-                    engine.gen
-                }
-            };
-            let (policy, schedule) = base.shaper.solve(base.n_superior, phase.span)?;
-            let phase_end = phase_start + phase.span;
-            while engine.gen < phase_end {
-                if should_stop(engine.gen) {
-                    return Ok(suspended(
-                        sink,
-                        engine.snapshot(&rng, true, gen_t),
-                        pi,
-                        phase_start,
-                        &phase_fronts,
-                    ));
-                }
-                let (promoted, candidates) =
-                    engine.annealed_generation(&mut rng, &policy, &schedule, phase_start)?;
-                if sink.wants(EventKind::Promotion) {
-                    sink.record(&RunEvent::Promotion {
-                        generation: engine.gen,
-                        promoted,
-                        candidates,
-                    });
-                }
-                engine.emit_generation(sink);
-            }
-            // End-of-phase Global Pareto Front: one global competition on
-            // the current population (what Fig. 10 tracks).
-            phase_fronts.push(population_front(&engine.flat_cache));
-        }
-
-        let mut outcome = engine.finish(gen_t);
-        outcome.phase_fronts = phase_fronts;
-        Ok(RunStatus::Complete(Box::new(outcome)))
+            },
+        )
     }
 }
 
@@ -489,8 +364,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Seed(seed), None, sink)
-            .map(expect_complete)
+        self.drive(None, seed, None, sink).map(expect_complete)
     }
 
     fn run_until_with(
@@ -499,7 +373,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Seed(seed), Some(stop_after), sink)
+        self.drive(None, seed, Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -507,7 +381,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         checkpoint: &MesacgaCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Checkpoint(checkpoint), None, sink)
+        self.drive(Some(checkpoint), 0, None, sink)
             .map(expect_complete)
     }
 
@@ -517,48 +391,15 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
+        self.drive(Some(checkpoint), 0, Some(stop_after), sink)
     }
-}
-
-/// Announces and packages a suspension into a checkpoint.
-fn suspended(
-    sink: &mut dyn Sink,
-    state: EngineState,
-    phase_index: usize,
-    phase_start: usize,
-    fronts: &[Vec<Individual>],
-) -> RunStatus<MesacgaCheckpoint> {
-    if sink.wants(EventKind::CheckpointWritten) {
-        sink.record(&RunEvent::CheckpointWritten {
-            generation: state.gen,
-        });
-    }
-    RunStatus::Suspended(Box::new(MesacgaCheckpoint {
-        state,
-        phase_index,
-        phase_start,
-        phase_fronts: fronts
-            .iter()
-            .map(|f| f.iter().map(SavedIndividual::from_individual).collect())
-            .collect(),
-    }))
-}
-
-/// Moves the population out of the engine, regrids it, and hands it back.
-fn take_and_regrid(
-    pop: &mut crate::partition::PartitionedPopulation,
-    grid: PartitionGrid,
-) -> crate::partition::PartitionedPopulation {
-    let placeholder = crate::partition::PartitionedPopulation::distribute(grid, Vec::new());
-    let owned = std::mem::replace(pop, placeholder);
-    owned.regrid(grid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MemorySink;
+    use crate::telemetry::{MemorySink, RunEvent};
+    use moea::individual::Individual;
     use moea::problems::{NarrowingCorridor, Schaffer};
 
     fn quick_config() -> MesacgaConfig {

@@ -21,8 +21,7 @@
 
 pub use crate::cellular::{CellularConfig, CellularConfigBuilder, CellularGa};
 pub use crate::checkpoint::{
-    CellularCheckpoint, EngineState, MesacgaCheckpoint, SacgaCheckpoint, SavedIndividual,
-    SteadyCheckpoint,
+    CellularCheckpoint, EngineState, MesacgaCheckpoint, SavedIndividual, SteadyCheckpoint,
 };
 pub use crate::island::{IslandConfig, IslandGa};
 pub use crate::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};

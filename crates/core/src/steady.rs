@@ -1,12 +1,12 @@
-//! Steady-state SACGA: the annealed-competition algorithm without the
-//! per-generation evaluation barrier.
+//! The partition-GA flow: steady-state SACGA, and the one loop behind
+//! generational SACGA and MESACGA too.
 //!
-//! The generational [`Sacga`](crate::sacga::Sacga) loop evaluates each
-//! offspring batch behind a barrier: no candidate of generation `g+1` is
-//! produced until every candidate of generation `g` has been evaluated,
-//! so one slow evaluation stalls the whole loop. [`SteadySacga`] drives
-//! the same algorithm through the engine's
-//! [`EvaluationSession`] submission/completion API instead:
+//! A generational loop evaluates each offspring batch behind a barrier:
+//! no candidate of generation `g+1` is produced until every candidate of
+//! generation `g` has been evaluated, so one slow evaluation stalls the
+//! whole loop. [`SteadySacga`] drives the annealed-competition algorithm
+//! through the engine's [`EvaluationSession`] submission/completion API
+//! instead:
 //!
 //! * **Production runs ahead of merging.** Offspring are submitted as
 //!   selection produces them, up to a look-ahead
@@ -27,11 +27,18 @@
 //!
 //! A *generation* remains the bookkeeping unit: every
 //! `population_size` merges the run crosses a generation boundary, where
-//! history rows, telemetry events, phase-I termination, and suspension
-//! are handled exactly as in the generational loop. With
-//! `window == quantum == population_size` the steady loop degenerates to
-//! the generational schedule and reproduces [`Sacga`](crate::sacga::Sacga)
-//! bit-for-bit — the barrier is purely a special case of the window.
+//! history rows, telemetry events, phase transitions, and suspension are
+//! handled. With `window == quantum == population_size` the flow *is*
+//! the generational schedule — the barrier is a special case of the
+//! window — and that is how [`Sacga`](crate::sacga::Sacga) runs.
+//!
+//! **Phases.** After the pure-local phase I the flow runs a list of
+//! annealed phases, each with its own partition count and span; at a
+//! phase boundary the population is regridded onto the next phase's
+//! partitions and the annealing schedule restarts. SACGA is the
+//! one-phase case (its partitions, over the rest of the budget);
+//! [`Mesacga`](crate::mesacga::Mesacga) runs its expanding-partition
+//! schedule on the same flow.
 //!
 //! Suspension ([`Optimizer::run_until`]) happens at a generation
 //! boundary, but production may already have run ahead; the look-ahead's
@@ -44,10 +51,9 @@ use std::collections::VecDeque;
 
 use crate::anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
 use crate::checkpoint::{EngineState, SavedIndividual, SteadyCheckpoint};
+use crate::mesacga::PhaseSpec;
 use crate::partition::{PartitionGrid, PartitionedPopulation};
-use crate::sacga::{
-    population_front, CompetitionMode, GenerationStats, SacgaConfig, SacgaConfigBuilder,
-};
+use crate::sacga::{CompetitionMode, GenerationStats, SacgaConfig, SacgaConfigBuilder};
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use engine::{
     EngineConfig, EngineStats, EvaluationSession, EvaluatorKind, FaultPlan, FaultPolicy,
@@ -77,6 +83,16 @@ impl SteadyConfig {
     /// Starts a configuration builder.
     pub fn builder() -> SteadyConfigBuilder {
         SteadyConfigBuilder::default()
+    }
+
+    /// The generational schedule: `window == quantum == population_size`.
+    pub(crate) fn generational(base: SacgaConfig) -> Self {
+        let n = base.population_size;
+        SteadyConfig {
+            base,
+            window: n,
+            quantum: n,
+        }
     }
 
     /// Population size.
@@ -316,10 +332,43 @@ impl SteadyConfigBuilder {
     }
 }
 
-/// How a steady drive begins: a fresh seed or a stored checkpoint.
-enum SteadyLaunch<'c> {
+/// How a flow begins: a fresh seed or a suspended run.
+pub(crate) enum Launch<'c> {
     Seed(u64),
-    Checkpoint(&'c SteadyCheckpoint),
+    Resume(Resume<'c>),
+}
+
+/// A suspended flow as a checkpoint stores it. A [`SteadyCheckpoint`]
+/// carries no phase bookkeeping: its run is in phase 0, which started
+/// at `gen_t`, with no phase fronts.
+pub(crate) struct Resume<'c> {
+    pub(crate) state: &'c EngineState,
+    pub(crate) pending: &'c [SavedIndividual],
+    pub(crate) phase_index: usize,
+    pub(crate) phase_start: usize,
+    pub(crate) phase_fronts: &'c [Vec<SavedIndividual>],
+}
+
+impl<'c> Resume<'c> {
+    fn steady(cp: &'c SteadyCheckpoint) -> Self {
+        Resume {
+            state: &cp.state,
+            pending: &cp.pending,
+            phase_index: 0,
+            phase_start: cp.state.gen_t,
+            phase_fronts: &[],
+        }
+    }
+}
+
+/// A flow suspended at a generation boundary: everything either
+/// checkpoint type stores.
+pub(crate) struct Suspension {
+    pub(crate) state: EngineState,
+    pub(crate) pending: Vec<SavedIndividual>,
+    pub(crate) phase_index: usize,
+    pub(crate) phase_start: usize,
+    pub(crate) phase_fronts: Vec<Vec<SavedIndividual>>,
 }
 
 /// The steady-state SACGA optimizer.
@@ -355,6 +404,11 @@ impl<P: Problem> SteadySacga<P> {
         SteadySacga { problem, config }
     }
 
+    /// The run configuration.
+    pub(crate) fn config(&self) -> &SteadyConfig {
+        &self.config
+    }
+
     /// Runs with a seeded RNG and no instrumentation (equivalent to
     /// [`Optimizer::run`]).
     ///
@@ -367,226 +421,26 @@ impl<P: Problem> SteadySacga<P> {
     where
         P: Sync,
     {
-        self.drive(SteadyLaunch::Seed(seed), None, &mut NullSink)
-            .map(expect_complete)
+        self.run_with(seed, &mut NullSink)
     }
 }
 
 impl<P: Problem + Sync> SteadySacga<P> {
-    /// The shared run loop behind every public entry point. The whole
-    /// drive executes inside one [`EvaluationSession`], so under a
-    /// parallel evaluator the worker pool lives for the entire run.
     fn drive(
         &self,
-        launch: SteadyLaunch<'_>,
+        launch: Launch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        let base = &self.config.base;
-        let problem = &self.problem;
-        if problem.num_objectives() == 0 {
-            return Err(OptimizeError::invalid_problem(
-                "problem must declare at least one objective",
-            ));
-        }
-        match &launch {
-            SteadyLaunch::Seed(_) => {
-                if base.slice_objective >= problem.num_objectives() {
-                    return Err(OptimizeError::invalid_config(
-                        "slice_objective",
-                        format!(
-                            "objective {} out of range for a {}-objective problem",
-                            base.slice_objective,
-                            problem.num_objectives()
-                        ),
-                    ));
-                }
-            }
-            SteadyLaunch::Checkpoint(cp) => {
-                if cp.state.grid_objective >= problem.num_objectives() {
-                    return Err(OptimizeError::invalid_checkpoint(format!(
-                        "checkpoint slices objective {} but the problem declares {}",
-                        cp.state.grid_objective,
-                        problem.num_objectives()
-                    )));
-                }
-            }
-        }
-        let mut exec = base.exec.build_engine(problem.cache_canonicalizer());
-        if let SteadyLaunch::Checkpoint(cp) = &launch {
-            exec.restore_stats(cp.state.stats.clone());
-        }
-        let bounds = problem.bounds().clone();
-        let eval = |genes: &[f64]| problem.evaluate(genes);
-        let batch_eval = |chunk: &[Vec<f64>]| problem.evaluate_all(chunk);
-        exec.with_session(&eval, &batch_eval, |session| {
-            self.run_loop(launch, stop_after, sink, session, bounds)
-        })
-    }
-
-    /// The steady loop proper, generic over the session's evaluation
-    /// closures.
-    fn run_loop<F, B>(
-        &self,
-        launch: SteadyLaunch<'_>,
-        stop_after: Option<usize>,
-        sink: &mut dyn Sink,
-        session: &mut EvaluationSession<'_, Evaluation, F, B>,
-        bounds: Bounds,
-    ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError>
-    where
-        F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
-    {
-        let base = &self.config.base;
-        let n = base.population_size;
-        let fresh = matches!(launch, SteadyLaunch::Seed(_));
-        let mut flow = match launch {
-            SteadyLaunch::Seed(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let init_genes: Vec<Vec<f64>> =
-                    (0..n).map(|_| random_vector(&mut rng, &bounds)).collect();
-                for genes in &init_genes {
-                    session.submit(genes);
-                }
-                let init_evals = session.drain_all()?;
-                let initial: Vec<Individual> = init_genes
-                    .into_iter()
-                    .zip(init_evals)
-                    .map(|(genes, ev)| Individual::new(genes, ev))
-                    .collect();
-                self.problem.check_evaluation(&initial[0].evaluation)?;
-                let grid = match base.slice_range {
-                    Some((lo, hi)) => {
-                        PartitionGrid::new(base.slice_objective, lo, hi, base.partitions)?
-                    }
-                    None => PartitionGrid::from_population(
-                        base.slice_objective,
-                        &initial,
-                        base.partitions,
-                    )?,
-                };
-                let mut pop = PartitionedPopulation::distribute(grid, initial);
-                pop.rank_locally();
-                let flat_cache = pop.flatten();
-                let feasible = flat_cache.iter().filter(|m| m.is_feasible()).count();
-                let history = vec![GenerationStats {
-                    generation: 0,
-                    phase: 1,
-                    temperature: f64::INFINITY,
-                    promoted: 0,
-                    feasible,
-                    population: flat_cache.len(),
-                }];
-                Flow::new(&self.config, bounds, rng, pop, history, flat_cache)
-            }
-            SteadyLaunch::Checkpoint(cp) => {
-                let grid = PartitionGrid::new(
-                    cp.state.grid_objective,
-                    cp.state.grid_lo,
-                    cp.state.grid_hi,
-                    cp.state.grid_partitions,
-                )
-                .map_err(|e| {
-                    OptimizeError::invalid_checkpoint(format!("stored grid is invalid: {e}"))
-                })?;
-                let members: Vec<Vec<Individual>> = cp
-                    .state
-                    .partitions
-                    .iter()
-                    .map(|part| part.iter().map(SavedIndividual::to_individual).collect())
-                    .collect();
-                let pop = PartitionedPopulation::from_parts(grid, members, cp.state.alive.clone())?;
-                let flat_cache = pop.flatten();
-                let mut flow = Flow::new(
-                    &self.config,
-                    bounds,
-                    StdRng::from_state(cp.state.rng),
-                    pop,
-                    cp.state.history.clone(),
-                    flat_cache,
-                );
-                flow.gen = cp.state.gen;
-                flow.phase1_done = cp.state.phase1_done;
-                flow.gen_t = cp.state.gen_t;
-                flow.merged = cp.state.gen * n;
-                flow.produced = flow.merged + cp.pending.len();
-                // Replay the look-ahead: primed completions occupy the
-                // session's first submission indices with no stats
-                // impact, exactly as the killed run left them.
-                for p in &cp.pending {
-                    session.prime(Evaluation::new(p.objectives.clone(), p.violations.clone()));
-                    flow.queue.push_back(p.genes.clone());
-                }
-                if flow.phase1_done {
-                    flow.solve_annealing()?;
-                }
-                flow
-            }
-        };
-        if sink.wants(EventKind::StageTiming) {
-            flow.timer.set_enabled(true);
-        }
-        flow.stats_mark = session.stats().clone();
-        // Faults from the initial-population evaluation surface as
-        // generation-0 events; a resumed segment replays completed
-        // evaluations without re-reporting their faults.
-        if fresh {
-            flow.emit_boundary(session, sink);
-        } else {
-            let _ = session.take_fault_events();
-        }
-        let mut feasibility = (sink.wants(EventKind::PartitionFeasible) && !flow.phase1_done)
-            .then(|| flow.partition_feasibility());
-
-        loop {
-            flow.maybe_transition(sink)?;
-            if flow.phase1_done {
-                feasibility = None;
-            }
-            if flow.gen >= flow.generations {
-                return Ok(RunStatus::Complete(Box::new(flow.finish(session))));
-            }
-            if stop_after.is_some_and(|cap| flow.gen >= cap) {
-                return flow.suspend(session, sink);
-            }
-
-            // --- produce and merge the next generation's window
-            flow.begin_window();
-            let target = (flow.gen + 1) * n;
-            while flow.merged < target {
-                flow.top_up(session);
-                flow.merge(session, target)?;
-                if flow.merged < target {
-                    flow.refresh_selection();
-                }
-            }
-
-            // --- generation boundary
-            flow.gen += 1;
-            flow.flat_cache = flow.pop.flatten();
-            flow.record();
-            if let Some(before) = &mut feasibility {
-                let now = flow.partition_feasibility();
-                for (p, (was, is)) in before.iter().zip(&now).enumerate() {
-                    if !was && *is {
-                        sink.record(&RunEvent::PartitionFeasible {
-                            generation: flow.gen,
-                            partition: p,
-                        });
-                    }
-                }
-                *before = now;
-            }
-            flow.emit_boundary(session, sink);
-            if flow.phase2() && sink.wants(EventKind::Promotion) {
-                sink.record(&RunEvent::Promotion {
-                    generation: flow.gen,
-                    promoted: flow.window_promoted,
-                    candidates: flow.window_candidates,
-                });
-            }
-        }
+        Ok(
+            match drive(&self.problem, &self.config, None, launch, stop_after, sink)? {
+                RunStatus::Complete(outcome) => RunStatus::Complete(outcome),
+                RunStatus::Suspended(s) => RunStatus::Suspended(Box::new(SteadyCheckpoint {
+                    state: s.state,
+                    pending: s.pending,
+                })),
+            },
+        )
     }
 }
 
@@ -598,7 +452,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(SteadyLaunch::Seed(seed), None, sink)
+        self.drive(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -608,7 +462,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.drive(SteadyLaunch::Seed(seed), Some(stop_after), sink)
+        self.drive(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -616,7 +470,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         checkpoint: &SteadyCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(SteadyLaunch::Checkpoint(checkpoint), None, sink)
+        self.drive(Launch::Resume(Resume::steady(checkpoint)), None, sink)
             .map(expect_complete)
     }
 
@@ -626,13 +480,267 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.drive(SteadyLaunch::Checkpoint(checkpoint), Some(stop_after), sink)
+        self.drive(
+            Launch::Resume(Resume::steady(checkpoint)),
+            Some(stop_after),
+            sink,
+        )
     }
 }
 
-/// Mutable state of one steady drive. Everything algorithmic lives here;
-/// the evaluation session is passed into each method so the borrow of
-/// the engine stays outside.
+/// The shared run loop behind every partition-GA entry point. `schedule`
+/// is MESACGA's phase list; `None` runs SACGA's single phase over the
+/// rest of the budget. The whole drive executes inside one
+/// [`EvaluationSession`], so under a parallel evaluator the worker pool
+/// lives for the entire run.
+pub(crate) fn drive<P: Problem + Sync>(
+    problem: &P,
+    config: &SteadyConfig,
+    schedule: Option<&[PhaseSpec]>,
+    launch: Launch<'_>,
+    stop_after: Option<usize>,
+    sink: &mut dyn Sink,
+) -> Result<RunStatus<Suspension>, OptimizeError> {
+    let base = &config.base;
+    if problem.num_objectives() == 0 {
+        return Err(OptimizeError::invalid_problem(
+            "problem must declare at least one objective",
+        ));
+    }
+    match &launch {
+        Launch::Seed(_) => {
+            if base.slice_objective >= problem.num_objectives() {
+                return Err(OptimizeError::invalid_config(
+                    "slice_objective",
+                    format!(
+                        "objective {} out of range for a {}-objective problem",
+                        base.slice_objective,
+                        problem.num_objectives()
+                    ),
+                ));
+            }
+        }
+        Launch::Resume(r) => {
+            if r.state.grid_objective >= problem.num_objectives() {
+                return Err(OptimizeError::invalid_checkpoint(format!(
+                    "checkpoint slices objective {} but the problem declares {}",
+                    r.state.grid_objective,
+                    problem.num_objectives()
+                )));
+            }
+        }
+    }
+    let mut exec = base.exec.build_engine(problem.cache_canonicalizer());
+    if let Launch::Resume(r) = &launch {
+        exec.restore_stats(r.state.stats.clone());
+    }
+    let eval = |genes: &[f64]| problem.evaluate(genes);
+    let batch_eval = |chunk: &[Vec<f64>]| problem.evaluate_all(chunk);
+    exec.with_session(&eval, &batch_eval, |session| {
+        run_loop(problem, config, schedule, launch, stop_after, sink, session)
+    })
+}
+
+/// The flow proper, generic over the session's evaluation closures.
+fn run_loop<P, F, B>(
+    problem: &P,
+    config: &SteadyConfig,
+    schedule: Option<&[PhaseSpec]>,
+    launch: Launch<'_>,
+    stop_after: Option<usize>,
+    sink: &mut dyn Sink,
+    session: &mut EvaluationSession<'_, Evaluation, F, B>,
+) -> Result<RunStatus<Suspension>, OptimizeError>
+where
+    P: Problem,
+    F: Fn(&[f64]) -> Evaluation + Sync,
+    B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
+{
+    let base = &config.base;
+    let n = base.population_size;
+    let bounds = problem.bounds().clone();
+    let fresh = matches!(launch, Launch::Seed(_));
+    let mut flow = match launch {
+        Launch::Seed(seed) => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let init_genes: Vec<Vec<f64>> =
+                (0..n).map(|_| random_vector(&mut rng, &bounds)).collect();
+            for genes in &init_genes {
+                session.submit(genes);
+            }
+            let init_evals = session.drain_all()?;
+            let initial: Vec<Individual> = init_genes
+                .into_iter()
+                .zip(init_evals)
+                .map(|(genes, ev)| Individual::new(genes, ev))
+                .collect();
+            problem.check_evaluation(&initial[0].evaluation)?;
+            let grid = match base.slice_range {
+                Some((lo, hi)) => {
+                    PartitionGrid::new(base.slice_objective, lo, hi, base.partitions)?
+                }
+                None => {
+                    PartitionGrid::from_population(base.slice_objective, &initial, base.partitions)?
+                }
+            };
+            let mut pop = PartitionedPopulation::distribute(grid, initial);
+            pop.rank_locally();
+            let flat_cache = pop.flatten();
+            let feasible = flat_cache.iter().filter(|m| m.is_feasible()).count();
+            let history = vec![GenerationStats {
+                generation: 0,
+                phase: 1,
+                temperature: f64::INFINITY,
+                promoted: 0,
+                feasible,
+                population: flat_cache.len(),
+            }];
+            Flow::new(config, schedule, bounds, rng, pop, history, flat_cache)
+        }
+        Launch::Resume(r) => {
+            let grid = PartitionGrid::new(
+                r.state.grid_objective,
+                r.state.grid_lo,
+                r.state.grid_hi,
+                r.state.grid_partitions,
+            )
+            .map_err(|e| {
+                OptimizeError::invalid_checkpoint(format!("stored grid is invalid: {e}"))
+            })?;
+            let members: Vec<Vec<Individual>> = r
+                .state
+                .partitions
+                .iter()
+                .map(|part| part.iter().map(SavedIndividual::to_individual).collect())
+                .collect();
+            let pop = PartitionedPopulation::from_parts(grid, members, r.state.alive.clone())?;
+            let flat_cache = pop.flatten();
+            let mut flow = Flow::new(
+                config,
+                schedule,
+                bounds,
+                StdRng::from_state(r.state.rng),
+                pop,
+                r.state.history.clone(),
+                flat_cache,
+            );
+            flow.gen = r.state.gen;
+            flow.phase1_done = r.state.phase1_done;
+            flow.gen_t = r.state.gen_t;
+            flow.merged = r.state.gen * n;
+            flow.produced = flow.merged + r.pending.len();
+            flow.phase_index = r.phase_index;
+            flow.phase_start = r.phase_start;
+            flow.phase_fronts = r
+                .phase_fronts
+                .iter()
+                .map(|f| f.iter().map(SavedIndividual::to_individual).collect())
+                .collect();
+            // Replay the look-ahead: primed completions occupy the
+            // session's first submission indices with no stats
+            // impact, exactly as the killed run left them.
+            for p in r.pending {
+                session.prime(Evaluation::new(p.objectives.clone(), p.violations.clone()));
+                flow.queue.push_back(p.genes.clone());
+            }
+            if flow.phase1_done {
+                // A checkpoint is only ever taken inside a phase, after
+                // its regrid: resuming re-derives the schedule constants
+                // and skips the regrid.
+                flow.resolve_phases();
+                if flow.phase_index >= flow.phases.len() {
+                    return Err(OptimizeError::invalid_checkpoint(format!(
+                        "phase index {} out of range for a {}-phase schedule",
+                        flow.phase_index,
+                        flow.phases.len()
+                    )));
+                }
+                flow.solve_annealing()?;
+            }
+            flow
+        }
+    };
+    if sink.wants(EventKind::StageTiming) {
+        flow.timer.set_enabled(true);
+    }
+    flow.stats_mark = session.stats().clone();
+    // Faults from the initial-population evaluation surface as
+    // generation-0 events; a resumed segment replays completed
+    // evaluations without re-reporting their faults.
+    if fresh {
+        flow.emit_boundary(session, sink);
+    } else {
+        let _ = session.take_fault_events();
+    }
+    let mut feasibility = (sink.wants(EventKind::PartitionFeasible) && !flow.phase1_done)
+        .then(|| flow.partition_feasibility());
+
+    loop {
+        flow.advance_phase(sink)?;
+        if flow.phase1_done {
+            feasibility = None;
+        }
+        if flow.gen >= flow.generations {
+            return Ok(RunStatus::Complete(Box::new(flow.finish(session))));
+        }
+        if stop_after.is_some_and(|cap| flow.gen >= cap) {
+            return flow.suspend(session, sink);
+        }
+
+        // --- produce and merge the next generation's window
+        flow.begin_window();
+        let target = (flow.gen + 1) * n;
+        while flow.merged < target {
+            flow.top_up(session);
+            flow.merge(session, target)?;
+            if flow.merged < target {
+                flow.refresh_selection();
+            }
+        }
+
+        // --- generation boundary
+        flow.gen += 1;
+        flow.flat_cache = flow.pop.flatten();
+        flow.record();
+        if let Some(before) = &mut feasibility {
+            let now = flow.partition_feasibility();
+            for (p, (was, is)) in before.iter().zip(&now).enumerate() {
+                if !was && *is {
+                    sink.record(&RunEvent::PartitionFeasible {
+                        generation: flow.gen,
+                        partition: p,
+                    });
+                }
+            }
+            *before = now;
+        }
+        // The generation's promotion record precedes its
+        // `GenerationEnd`, which closes the generation for consumers
+        // that batch a stream per generation.
+        if flow.phase2() && sink.wants(EventKind::Promotion) {
+            sink.record(&RunEvent::Promotion {
+                generation: flow.gen,
+                promoted: flow.window_promoted,
+                candidates: flow.window_candidates,
+            });
+        }
+        flow.emit_boundary(session, sink);
+    }
+}
+
+/// Feasible, globally non-dominated front of a population snapshot
+/// (clone + one global competition; used for event payloads and
+/// MESACGA phase fronts).
+fn population_front(snapshot: &[Individual]) -> Vec<Individual> {
+    let mut arena = snapshot.to_vec();
+    rank_and_crowd(&mut arena);
+    arena.retain(|m| m.rank == 0 && m.is_feasible());
+    arena
+}
+
+/// Mutable state of one drive. Everything algorithmic lives here; the
+/// evaluation session is passed into each method so the borrow of the
+/// engine stays outside.
 struct Flow {
     // knobs (copied out of the config so methods need no config borrow)
     n: usize,
@@ -644,6 +752,10 @@ struct Flow {
     n_superior: usize,
     shaper: ProbabilityShaper,
     bounds: Bounds,
+    /// Whether the phase list is an expanding-partition schedule
+    /// (MESACGA): the budget follows the schedule and every phase's
+    /// closing front is kept.
+    expanding: bool,
     // algorithm state
     rng: StdRng,
     pop: PartitionedPopulation,
@@ -652,6 +764,13 @@ struct Flow {
     produced: usize,
     phase1_done: bool,
     gen_t: usize,
+    /// Annealed phases after phase I (fixed once phase I ends).
+    phases: Vec<PhaseSpec>,
+    phase_index: usize,
+    /// Generation at which the current phase's schedule started.
+    phase_start: usize,
+    /// Closing fronts of the finished phases (expanding schedules only).
+    phase_fronts: Vec<Vec<Individual>>,
     history: Vec<GenerationStats>,
     /// Genes of submitted-but-unmerged offspring, in submission order
     /// (parallel to the session's undrained indices).
@@ -675,6 +794,7 @@ struct Flow {
 impl Flow {
     fn new(
         config: &SteadyConfig,
+        schedule: Option<&[PhaseSpec]>,
         bounds: Bounds,
         rng: StdRng,
         pop: PartitionedPopulation,
@@ -695,6 +815,7 @@ impl Flow {
             n_superior: base.n_superior,
             shaper: base.shaper,
             bounds,
+            expanding: schedule.is_some(),
             rng,
             pop,
             gen: 0,
@@ -702,6 +823,10 @@ impl Flow {
             produced: 0,
             phase1_done: false,
             gen_t: 0,
+            phases: schedule.map(<[PhaseSpec]>::to_vec).unwrap_or_default(),
+            phase_index: 0,
+            phase_start: 0,
+            phase_fronts: Vec::new(),
             history,
             queue: VecDeque::new(),
             selection: Vec::new(),
@@ -738,12 +863,27 @@ impl Flow {
             .collect()
     }
 
-    /// Solves the phase-II promotion policy and cooling schedule from
-    /// the recorded `gen_t` (a pure function of the config and `gen_t`,
-    /// so fresh and resumed runs derive identical constants).
+    /// Fixes the phase list once `gen_t` is known: an expanding schedule
+    /// sets the budget to `gen_t` plus its spans; SACGA's single phase
+    /// spans whatever budget phase I left (none when it used it all).
+    fn resolve_phases(&mut self) {
+        if self.expanding {
+            self.generations = self.gen_t + self.phases.iter().map(|p| p.span).sum::<usize>();
+        } else {
+            let span = self.generations.saturating_sub(self.gen_t);
+            self.phases = (span > 0)
+                .then(|| PhaseSpec::new(self.pop.grid().partition_count(), span))
+                .into_iter()
+                .collect();
+        }
+    }
+
+    /// Solves the current phase's promotion policy and cooling schedule
+    /// (a pure function of the config and the phase span, so fresh and
+    /// resumed runs derive identical constants).
     fn solve_annealing(&mut self) -> Result<(), OptimizeError> {
-        let span = self.generations.saturating_sub(self.gen_t);
-        if self.annealed && span > 0 {
+        if self.annealed {
+            let span = self.phases[self.phase_index].span;
             let (policy, schedule) = self.shaper.solve(self.n_superior, span)?;
             self.policy = Some(policy);
             self.schedule = Some(schedule);
@@ -751,32 +891,65 @@ impl Flow {
         Ok(())
     }
 
-    /// Phase-I boundary processing, mirroring the generational loop's
-    /// exit condition: once every alive partition is feasible (or the
-    /// cap or the budget is hit), discard infeasible partitions, record
-    /// `gen_t`, and arm the annealing machinery.
-    fn maybe_transition(&mut self, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
-        if self.phase1_done {
+    /// Phase bookkeeping at a generation boundary. Phase I ends once
+    /// every alive partition is feasible (or the cap or the budget is
+    /// hit): infeasible partitions are discarded, `gen_t` is recorded
+    /// and the first annealed phase begins. An annealed phase that has
+    /// run its span closes (keeping its front on expanding schedules)
+    /// and hands over to the next.
+    fn advance_phase(&mut self, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
+        if !self.phase1_done {
+            let done = self.gen >= self.generations
+                || self.gen >= self.phase1_max
+                || (self.pop.all_partitions_feasible() && self.gen > 0);
+            if !done {
+                return Ok(());
+            }
+            if !self.pop.all_partitions_feasible() {
+                self.pop.discard_infeasible_partitions();
+            }
+            self.gen_t = self.gen;
+            self.phase1_done = true;
+            self.resolve_phases();
+            if self.phases.is_empty() {
+                return Ok(());
+            }
+            return self.enter_phase(0, sink);
+        }
+        let Some(phase) = self.phases.get(self.phase_index) else {
+            return Ok(());
+        };
+        if self.gen != self.phase_start + phase.span {
             return Ok(());
         }
-        let done = self.gen >= self.generations
-            || self.gen >= self.phase1_max
-            || (self.pop.all_partitions_feasible() && self.gen > 0);
-        if !done {
-            return Ok(());
+        if self.expanding {
+            self.phase_fronts.push(population_front(&self.flat_cache));
         }
-        if !self.pop.all_partitions_feasible() {
-            self.pop.discard_infeasible_partitions();
+        if self.phase_index + 1 < self.phases.len() {
+            self.enter_phase(self.phase_index + 1, sink)?;
         }
-        self.gen_t = self.gen;
-        self.phase1_done = true;
-        if self.annealed && self.gen_t < self.generations && sink.wants(EventKind::PhaseTransition)
-        {
+        Ok(())
+    }
+
+    /// Starts annealed phase `index` at the current generation: regrids
+    /// onto its partitions when they differ from the grid's (always
+    /// after the first phase), announces it, and solves its schedule.
+    fn enter_phase(&mut self, index: usize, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
+        let phase = self.phases[index];
+        if index > 0 || self.pop.grid().partition_count() != phase.partitions {
+            let grid = self.pop.grid().with_partitions(phase.partitions)?;
+            let placeholder = PartitionedPopulation::distribute(grid, Vec::new());
+            self.pop = std::mem::replace(&mut self.pop, placeholder).regrid(grid);
+            self.pop.rank_locally();
+        }
+        self.phase_index = index;
+        self.phase_start = self.gen;
+        if self.annealed && sink.wants(EventKind::PhaseTransition) {
             sink.record(&RunEvent::PhaseTransition {
-                generation: self.gen_t,
-                phase_index: 0,
-                partitions: self.pop.partition_count(),
-                span: self.generations - self.gen_t,
+                generation: self.gen,
+                phase_index: index,
+                partitions: phase.partitions,
+                span: phase.span,
             });
         }
         self.solve_annealing()
@@ -788,11 +961,10 @@ impl Flow {
     fn begin_window(&mut self) {
         self.window_temperature = match (self.phase2(), &self.schedule) {
             (true, Some(schedule)) => {
-                // The generation being produced is `gen + 1`; its
-                // phase-II age runs 1..=span so the final generation
-                // anneals at exactly T_A = 1, as in the generational
-                // loop.
-                schedule.temperature((self.gen + 1).saturating_sub(self.gen_t))
+                // The generation being produced is `gen + 1`; its age in
+                // the phase runs 1..=span so the phase's final
+                // generation anneals at exactly T_A = 1, per eqn (4).
+                schedule.temperature((self.gen + 1).saturating_sub(self.phase_start))
             }
             _ => f64::INFINITY,
         };
@@ -985,15 +1157,14 @@ impl Flow {
     }
 
     /// Suspends at the current generation boundary. The look-ahead's
-    /// completed evaluations are rescued into the checkpoint's pending
-    /// list; the rescue drain's batch accounting is rolled back so a
-    /// resumed run counts those merges exactly as an uninterrupted one
-    /// would.
+    /// completed evaluations are rescued into the pending list; the
+    /// rescue drain's batch accounting is rolled back so a resumed run
+    /// counts those merges exactly as an uninterrupted one would.
     fn suspend<F, B>(
         &mut self,
         session: &mut EvaluationSession<'_, Evaluation, F, B>,
         sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError>
+    ) -> Result<RunStatus<Suspension>, OptimizeError>
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
         B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
@@ -1019,14 +1190,14 @@ impl Flow {
             .collect();
         let grid = *self.pop.grid();
         let (grid_lo, grid_hi) = grid.range();
+        let saved = |members: &[Individual]| -> Vec<SavedIndividual> {
+            members
+                .iter()
+                .map(SavedIndividual::from_individual)
+                .collect()
+        };
         let partitions = (0..self.pop.partition_count())
-            .map(|p| {
-                self.pop
-                    .partition(p)
-                    .iter()
-                    .map(SavedIndividual::from_individual)
-                    .collect()
-            })
+            .map(|p| saved(self.pop.partition(p)))
             .collect();
         let alive = (0..self.pop.partition_count())
             .map(|p| self.pop.is_alive(p))
@@ -1045,13 +1216,18 @@ impl Flow {
             history: self.history.clone(),
             stats,
         };
-        Ok(RunStatus::Suspended(Box::new(SteadyCheckpoint {
+        Ok(RunStatus::Suspended(Box::new(Suspension {
             state,
             pending,
+            phase_index: self.phase_index,
+            phase_start: self.phase_start,
+            phase_fronts: self.phase_fronts.iter().map(|f| saved(f)).collect(),
         })))
     }
 
-    /// Final global competition and result assembly.
+    /// Final global competition and result assembly: per the paper, the
+    /// Global Pareto Front is found by one global competition over the
+    /// entire final population.
     fn finish<F, B>(self, session: &mut EvaluationSession<'_, Evaluation, F, B>) -> RunOutcome
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
@@ -1072,7 +1248,7 @@ impl Flow {
             generations: self.gen,
             gen_t: self.gen_t,
             history: self.history,
-            phase_fronts: Vec::new(),
+            phase_fronts: self.phase_fronts,
             migrations: 0,
             stats,
         }
@@ -1409,8 +1585,9 @@ mod tests {
             RunStatus::Suspended(cp) => cp.to_text(),
             RunStatus::Complete(_) => panic!("run should suspend"),
         };
-        // A SACGA parser must reject a steady checkpoint and vice versa.
-        assert!(crate::checkpoint::SacgaCheckpoint::from_text(&text).is_err());
+        // Neither the MESACGA nor the cellular parser accepts it.
+        assert!(crate::checkpoint::MesacgaCheckpoint::from_text(&text).is_err());
+        assert!(crate::checkpoint::CellularCheckpoint::from_text(&text).is_err());
         assert_eq!(ga.algorithm(), "steady");
     }
 }

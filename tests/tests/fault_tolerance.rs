@@ -20,7 +20,7 @@ use analog_dse::moea::RunStatus;
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
 use analog_dse::sacga::telemetry::Optimizer;
-use analog_dse::sacga::{MesacgaCheckpoint, SacgaCheckpoint};
+use analog_dse::sacga::{MesacgaCheckpoint, SteadyCheckpoint};
 use std::time::Duration;
 
 /// Strips wall-clock timing so stats can be compared across runs.
@@ -91,7 +91,7 @@ fn sacga_killed_on_circuit_problem_resumes_to_identical_front() {
         RunStatus::Suspended(cp) => cp,
         RunStatus::Complete(_) => panic!("run should suspend at gen 6"),
     };
-    let restored = SacgaCheckpoint::from_text(&cp.to_text()).unwrap();
+    let restored = SteadyCheckpoint::from_text(&cp.to_text()).unwrap();
     let resumed = ga.resume(&restored).unwrap();
     assert_eq!(resumed.front_objectives(), full.front_objectives());
     assert_eq!(resumed.history, full.history);

@@ -75,7 +75,7 @@ fn sacga_kill_and_resume_front_matches_snapshot() {
         RunStatus::Complete(_) => panic!("run should suspend at gen 9"),
     };
     // Simulate a process restart: the checkpoint crosses a text boundary.
-    let cp = analog_dse::sacga::SacgaCheckpoint::from_text(&cp.to_text()).unwrap();
+    let cp = analog_dse::sacga::SteadyCheckpoint::from_text(&cp.to_text()).unwrap();
     let r = ga.resume(&cp).unwrap();
     check_golden("sacga_schaffer_seed42.txt", &render_front(&r.front));
 }
