@@ -20,13 +20,13 @@
 //!   the forward or backward half of its neighborhood with probability
 //!   [`anisotropy`](CellularConfigBuilder::anisotropy).
 //!
-//! **Degenerate contract.** On a [`Topology::FullyConnected`] graph with
-//! `openness == 0.0` the loop is *bit-identical* to
-//! [`IslandGa`](crate::island::IslandGa): the fully-connected adjacency
-//! leads with the island's `(i+1) % k` migration target, migration picks
-//! consume the same RNG draws, and an openness of exactly zero skips the
-//! mate-mixing draw entirely, so the RNG stream never diverges. The
-//! differential test suite pins this against the island golden master.
+//! **The island model.** On a [`Topology::FullyConnected`] graph with
+//! `openness == 0.0` the loop *is* the island model, and
+//! [`IslandGa`](crate::island::IslandGa) runs exactly that preset: the
+//! fully-connected adjacency leads with the `(i+1) % k` ring-migration
+//! target, and an openness of exactly zero skips the mate-mixing draw
+//! entirely. The island golden master and the reference goldens of the
+//! dedicated island loop it replaced pin the preset.
 //!
 //! **Determinism across workers.** Every cell submits its offspring
 //! through one shared [`EvaluationSession`] and a single drain loop
@@ -61,15 +61,15 @@ use rand::{Rng, SeedableRng};
 /// [`CellularConfig::builder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellularConfig {
-    pub(crate) population_size: usize,
-    pub(crate) generations: usize,
-    pub(crate) topology: Topology,
-    pub(crate) migration_interval: usize,
-    pub(crate) migrants: usize,
-    pub(crate) openness: f64,
-    pub(crate) anisotropy: f64,
-    pub(crate) variation: Option<Variation>,
-    pub(crate) exec: EngineSetup,
+    population_size: usize,
+    generations: usize,
+    topology: Topology,
+    migration_interval: usize,
+    migrants: usize,
+    openness: f64,
+    anisotropy: f64,
+    variation: Option<Variation>,
+    exec: EngineSetup,
 }
 
 impl CellularConfig {
@@ -266,6 +266,11 @@ impl CellularConfigBuilder {
     /// probability leaves `[0, 1]`.
     pub fn build(self) -> Result<CellularConfig, OptimizeError> {
         self.topology.validate()?;
+        self.check()
+    }
+
+    /// Every check of [`build`](Self::build) but the topology's own.
+    pub(crate) fn check(self) -> Result<CellularConfig, OptimizeError> {
         if self.generations == 0 {
             return Err(OptimizeError::invalid_config(
                 "generations",

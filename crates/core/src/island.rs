@@ -14,8 +14,14 @@
 //! objective-space partitioned), with periodic ring migration of each
 //! island's best individuals. Compare against SACGA with the
 //! `ablation_competition_modes` harness or your own experiments.
+//!
+//! "From Cells to Islands" places the island model at the
+//! fully-connected end of the cellular continuum, and that is how it
+//! runs: [`IslandGa`] is the [`cellular`](crate::cellular) loop on
+//! [`Topology::FullyConnected`] with closed mating, so it checkpoints
+//! and resumes like any cellular run.
 
-use crate::cellular::{CellularConfig, CellularGa};
+use crate::cellular::{CellularConfig, CellularConfigBuilder, CellularGa};
 use crate::checkpoint::CellularCheckpoint;
 use crate::telemetry::{Optimizer, Sink};
 use crate::topology::Topology;
@@ -28,13 +34,7 @@ use moea::{OptimizeError, RunOutcome, RunStatus};
 /// [`IslandConfig::builder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IslandConfig {
-    population_size: usize,
-    generations: usize,
-    islands: usize,
-    migration_interval: usize,
-    migrants: usize,
-    variation: Option<Variation>,
-    exec: moea::setup::EngineSetup,
+    cells: CellularConfig,
 }
 
 impl IslandConfig {
@@ -45,42 +45,36 @@ impl IslandConfig {
 
     /// Total population across all islands.
     pub fn population_size(&self) -> usize {
-        self.population_size
+        self.cells.population_size()
     }
 
     /// Number of islands.
     pub fn islands(&self) -> usize {
-        self.islands
+        self.cells.topology().cells()
     }
 
     /// Generation budget.
     pub fn generations(&self) -> usize {
-        self.generations
+        self.cells.generations()
     }
 }
 
 /// Builder for [`IslandConfig`].
 #[derive(Debug, Clone)]
 pub struct IslandConfigBuilder {
-    population_size: usize,
-    generations: usize,
+    cells: CellularConfigBuilder,
     islands: usize,
-    migration_interval: usize,
-    migrants: usize,
-    variation: Option<Variation>,
-    exec: moea::setup::EngineSetup,
 }
 
 impl Default for IslandConfigBuilder {
     fn default() -> Self {
         IslandConfigBuilder {
-            population_size: 100,
-            generations: 250,
+            cells: CellularConfig::builder()
+                .population_size(100)
+                .generations(250)
+                .migration_interval(20)
+                .migrants(2),
             islands: 5,
-            migration_interval: 20,
-            migrants: 2,
-            variation: None,
-            exec: moea::setup::EngineSetup::new(),
         }
     }
 }
@@ -88,13 +82,13 @@ impl Default for IslandConfigBuilder {
 impl IslandConfigBuilder {
     /// Sets the total population (split evenly across islands).
     pub fn population_size(mut self, n: usize) -> Self {
-        self.population_size = n;
+        self.cells = self.cells.population_size(n);
         self
     }
 
     /// Sets the generation budget.
     pub fn generations(mut self, n: usize) -> Self {
-        self.generations = n;
+        self.cells = self.cells.generations(n);
         self
     }
 
@@ -106,19 +100,19 @@ impl IslandConfigBuilder {
 
     /// Sets how many generations pass between migrations (≥ 1).
     pub fn migration_interval(mut self, g: usize) -> Self {
-        self.migration_interval = g;
+        self.cells = self.cells.migration_interval(g);
         self
     }
 
     /// Sets how many individuals migrate per island per event.
     pub fn migrants(mut self, m: usize) -> Self {
-        self.migrants = m;
+        self.cells = self.cells.migrants(m);
         self
     }
 
     /// Overrides the variation operators.
     pub fn variation(mut self, v: Variation) -> Self {
-        self.variation = Some(v);
+        self.cells = self.cells.variation(v);
         self
     }
 
@@ -126,33 +120,33 @@ impl IslandConfigBuilder {
     /// [`moea::EngineSetup`]); the individual knob methods below
     /// delegate to the same bundle.
     pub fn engine_setup(mut self, exec: moea::setup::EngineSetup) -> Self {
-        self.exec = exec;
+        self.cells = self.cells.engine_setup(exec);
         self
     }
 
     /// Selects the candidate-evaluation strategy (default: serial).
     pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
-        self.exec = self.exec.evaluator(evaluator);
+        self.cells = self.cells.evaluator(evaluator);
         self
     }
 
     /// Enables evaluation memoization with room for `capacity` entries
     /// (default: disabled).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.exec = self.exec.cache_capacity(capacity);
+        self.cells = self.cells.cache_capacity(capacity);
         self
     }
 
     /// Sets the memoization quantization grid (must be positive).
     pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.exec = self.exec.cache_grid(grid);
+        self.cells = self.cells.cache_grid(grid);
         self
     }
 
     /// Sets the fault-handling policy for candidate evaluation: retry
     /// budget, non-finite quarantine, and exhaustion behavior.
     pub fn fault_policy(mut self, fault: engine::FaultPolicy) -> Self {
-        self.exec = self.exec.fault_policy(fault);
+        self.cells = self.cells.fault_policy(fault);
         self
     }
 
@@ -160,7 +154,7 @@ impl IslandConfigBuilder {
     /// testing/chaos harness — injected faults are reproducible per
     /// candidate).
     pub fn inject_faults(mut self, plan: engine::FaultPlan) -> Self {
-        self.exec = self.exec.inject_faults(plan);
+        self.cells = self.cells.inject_faults(plan);
         self
     }
 
@@ -169,17 +163,21 @@ impl IslandConfigBuilder {
     /// bundle's registry as evaluation happens. Observation only — an
     /// instrumented run is bit-identical to a bare one.
     pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.exec = self.exec.metrics(metrics);
+        self.cells = self.cells.metrics(metrics);
         self
     }
 
-    /// Finalizes the configuration.
+    /// Finalizes the configuration: `islands` cells on a fully-connected
+    /// graph with closed mating, whose first neighbor is the
+    /// ring-migration target `(i + 1) % islands`. A single island has no
+    /// neighbor and never migrates, so it is exempt from the graph's
+    /// two-cell minimum.
     ///
     /// # Errors
     ///
     /// Returns [`OptimizeError::InvalidConfig`] when islands is zero, the
     /// per-island population would drop below 4, the interval is zero, or
-    /// migrants exceed the island size.
+    /// migrants reach the island size.
     pub fn build(self) -> Result<IslandConfig, OptimizeError> {
         if self.islands == 0 {
             return Err(OptimizeError::invalid_config(
@@ -187,67 +185,14 @@ impl IslandConfigBuilder {
                 "must be at least 1",
             ));
         }
-        if self.generations == 0 {
-            return Err(OptimizeError::invalid_config(
-                "generations",
-                "must be at least 1",
-            ));
-        }
-        let per_island = self.population_size / self.islands;
-        if per_island < 4 {
-            return Err(OptimizeError::invalid_config(
-                "population_size",
-                format!(
-                    "per-island population must be at least 4, got {per_island} \
-                     ({} over {} islands)",
-                    self.population_size, self.islands
-                ),
-            ));
-        }
-        if self.migration_interval == 0 {
-            return Err(OptimizeError::invalid_config(
-                "migration_interval",
-                "must be at least 1",
-            ));
-        }
-        if self.migrants >= per_island {
-            return Err(OptimizeError::invalid_config(
-                "migrants",
-                format!("must be fewer than the island size {per_island}"),
-            ));
-        }
-        Ok(IslandConfig {
-            population_size: self.population_size,
-            generations: self.generations,
-            islands: self.islands,
-            migration_interval: self.migration_interval,
-            migrants: self.migrants,
-            variation: self.variation,
-            exec: self.exec,
-        })
-    }
-}
-
-impl IslandConfig {
-    /// The cellular configuration this island model is: `islands` cells
-    /// on a fully-connected graph with closed mating, whose first
-    /// neighbor is the ring-migration target `(i + 1) % islands`. A
-    /// single island has no neighbors and never migrates, so it skips
-    /// the topology's two-cell minimum.
-    fn cellular(&self) -> CellularConfig {
-        CellularConfig {
-            population_size: self.population_size,
-            generations: self.generations,
-            topology: Topology::FullyConnected {
+        let cells = self
+            .cells
+            .topology(Topology::FullyConnected {
                 cells: self.islands,
-            },
-            migration_interval: self.migration_interval,
-            migrants: self.migrants,
-            openness: 0.0,
-            anisotropy: 0.5,
-            variation: self.variation,
-            exec: self.exec.clone(),
-        }
+            })
+            .openness(0.0)
+            .check()?;
+        Ok(IslandConfig { cells })
     }
 }
 
@@ -281,7 +226,7 @@ impl<P: Problem> IslandGa<P> {
     /// Creates an optimizer for `problem` with `config`.
     pub fn new(problem: P, config: IslandConfig) -> Self {
         IslandGa {
-            cells: CellularGa::new(problem, config.cellular()),
+            cells: CellularGa::new(problem, config.cells),
         }
     }
 

@@ -23,34 +23,37 @@
 //!   `T_A = T_init·e^(−k₃·ln(T_init)/span·(gen−gen_t))`, and a closed-form
 //!   [`ProbabilityShaper`] that solves the
 //!   constants from target probabilities (reproducing Fig. 4);
+//! * [`steady`] — the partition-GA flow: offspring production and
+//!   incremental merging through the engine's submission/completion API,
+//!   bit-identical across worker counts, running a list of annealed
+//!   phases after the pure-local phase I. Steady-state SACGA is the flow
+//!   with a look-ahead window;
 //! * [`sacga`] — the Simulated-Annealing-driven Competition GA: pure local
-//!   competition transitioning gradually into pure global competition.
-//!   The pure local-competition GA of Sec. 4.3 (diverse but slow to
-//!   converge) is the same engine with promotion switched off:
+//!   competition transitioning gradually into pure global competition,
+//!   the flow's generational preset (`window == quantum ==
+//!   population_size`). The pure local-competition GA of Sec. 4.3
+//!   (diverse but slow to converge) is the same preset with promotion
+//!   switched off:
 //!   [`CompetitionMode::LocalOnly`](sacga::CompetitionMode::LocalOnly);
 //! * [`mesacga`] — the Multi-phase Expanding-partitions SACGA of Sec. 4.5:
-//!   a cascade of SACGA phases with progressively fewer, larger partitions
-//!   (e.g. 20 → 13 → 8 → 5 → 3 → 2 → 1), removing the need to guess the
-//!   optimal static partition count;
-//! * [`steady`] — steady-state SACGA: the same algorithm driven through
-//!   the engine's incremental submission/completion API, with no
-//!   per-generation evaluation barrier and bit-identical seeded results
-//!   across worker counts;
+//!   the generational flow through a phase list of progressively fewer,
+//!   larger partitions (e.g. 20 → 13 → 8 → 5 → 3 → 2 → 1), removing the
+//!   need to guess the optimal static partition count;
 //! * [`cellular`] — a structured-population GA over a pluggable
 //!   neighborhood [`topology`] (ring, torus, fully-connected,
-//!   small-world) that degenerates bit-for-bit to the [`island`] model
-//!   on a fully-connected graph;
-//! * [`checkpoint`] — plain-text run checkpoints: SACGA, MESACGA,
-//!   steady-state and cellular runs can be suspended at any generation
-//!   boundary
+//!   small-world); the [`island`] model is its fully-connected preset
+//!   with closed mating;
+//! * [`checkpoint`] — plain-text run checkpoints: every run but NSGA-II
+//!   can be suspended at any generation boundary
 //!   ([`Sacga::run_until`](sacga::Sacga::run_until),
 //!   [`Mesacga::run_until`](mesacga::Mesacga::run_until)) and resumed
 //!   bit-identically, including across process restarts.
 //!
-//! All six loops — [`moea::nsga2::Nsga2`], [`sacga`] (in either
-//! competition mode), [`mesacga`], [`island`], [`steady`], [`cellular`] —
-//! implement the unified
-//! [`Optimizer`] run API and emit the structured
+//! Three population loops remain — [`moea::nsga2::Nsga2`], the
+//! [`steady`] flow and the [`cellular`] loop — and every optimizer
+//! built on them ([`sacga`] in either competition mode, [`mesacga`],
+//! [`steady`], [`island`], [`cellular`], NSGA-II) implements the unified
+//! [`Optimizer`] run API and emits the structured
 //! [`RunEvent`] stream of the [`telemetry`] module
 //! into composable [`Sink`]s.
 //!

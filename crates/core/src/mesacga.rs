@@ -11,6 +11,8 @@
 //!
 //! The paper's example schedule: 7 phases of 20, 13, 8, 5, 3, 2, 1
 //! partitions, each running `span` iterations, after a pure-local phase.
+//! [`Mesacga`] runs it on the generational partition-GA flow of
+//! [`steady`], whose phase list SACGA uses with a single phase.
 
 use crate::anneal::ProbabilityShaper;
 use crate::checkpoint::MesacgaCheckpoint;

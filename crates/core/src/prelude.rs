@@ -1,4 +1,4 @@
-//! One-stop imports for driving any of the six optimization loops
+//! One-stop imports for driving any of the optimizers
 //! through the unified [`Optimizer`] API with instrumentation attached.
 //!
 //! ```

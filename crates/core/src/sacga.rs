@@ -18,6 +18,10 @@
 //!   elitism).
 //! * Termination: one final global competition over everything yields the
 //!   Global Pareto Front.
+//!
+//! [`Sacga`] runs this on the partition-GA flow of
+//! [`steady`](crate::steady) with the generational schedule, as a
+//! one-phase case of the flow's phase list.
 
 use crate::anneal::ProbabilityShaper;
 use crate::checkpoint::SteadyCheckpoint;
@@ -245,7 +249,7 @@ impl SacgaConfigBuilder {
 
     /// Attaches an opt-in [`SurrogateScreen`]: candidates the screen
     /// answers skip the full model (counted in
-    /// [`EngineStats::screened`], never cached). Screening changes which
+    /// [`engine::EngineStats::screened`], never cached). Screening changes which
     /// candidates reach the model, so runs with an active screen are
     /// *not* byte-identical to unscreened runs — leave this unset (or use
     /// a never-firing screen) to keep pinned artifacts reproducible.

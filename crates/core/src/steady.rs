@@ -1308,10 +1308,12 @@ mod tests {
 
     #[test]
     fn window_equal_population_reproduces_generational_sacga() {
-        // With window == quantum == population_size the steady loop
-        // degenerates to the generational schedule: same RNG draw order,
-        // same merges, same accounting. The generational barrier is a
-        // special case of the window.
+        // With window == quantum == population_size the steady loop is
+        // the generational schedule, which is what the SACGA preset
+        // runs: same RNG draw order, same merges, same accounting, and
+        // at every boundary a checkpoint with nothing pending. (The
+        // reference goldens pin this schedule against the dedicated
+        // generational loop it replaced.)
         let steady_cfg = SteadyConfig::builder()
             .population_size(40)
             .generations(25)
@@ -1326,18 +1328,28 @@ mod tests {
             .partitions(5)
             .build()
             .unwrap();
-        let steady = SteadySacga::new(Schaffer::new(), steady_cfg)
-            .run_seeded(11)
-            .unwrap();
-        let generational = Sacga::new(Schaffer::new(), gen_cfg).run_seeded(11).unwrap();
-        assert_eq!(steady.front_objectives(), generational.front_objectives());
-        assert_eq!(
-            genes_of(&steady.population),
-            genes_of(&generational.population)
-        );
-        assert_eq!(steady.history, generational.history);
-        assert_eq!(steady.gen_t, generational.gen_t);
-        assert_eq!(scrub(steady.stats), scrub(generational.stats));
+        let steady = SteadySacga::new(Schaffer::new(), steady_cfg);
+        let generational = Sacga::new(Schaffer::new(), gen_cfg);
+        let a = steady.run_seeded(11).unwrap();
+        let b = generational.run_seeded(11).unwrap();
+        assert_eq!(a.front_objectives(), b.front_objectives());
+        assert_eq!(genes_of(&a.population), genes_of(&b.population));
+        assert_eq!(a.history, b.history);
+        assert_eq!(a.gen_t, b.gen_t);
+        assert_eq!(scrub(a.stats), scrub(b.stats));
+        for stop in [0usize, 1, 2, 12, 24] {
+            let (RunStatus::Suspended(x), RunStatus::Suspended(y)) = (
+                steady.run_until(11, stop).unwrap(),
+                generational.run_until(11, stop).unwrap(),
+            ) else {
+                panic!("both runs should suspend at {stop}");
+            };
+            assert!(x.pending.is_empty() && y.pending.is_empty());
+            assert_eq!(x.state.partitions, y.state.partitions);
+            assert_eq!(x.state.history, y.state.history);
+            assert_eq!(x.state.rng, y.state.rng);
+            assert_eq!((x.state.gen, x.state.gen_t), (y.state.gen, y.state.gen_t));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ([`RunEvent`], serialized as JSONL at schema version
 //! [`EVENT_SCHEMA_VERSION`]) emitted by every optimizer through
 //! composable [`Sink`]s, plus the unified [`Optimizer`] run API
-//! implemented by all five loops.
+//! implemented by every optimizer.
 //!
 //! # Design invariants
 //!

@@ -7,16 +7,19 @@ use moea::{OptimizeError, RunOutcome, RunStatus};
 use super::event::{EventKind, RunEvent};
 use super::sink::{NullSink, Sink};
 
-/// The checkpoint type of algorithms that cannot suspend (NSGA-II, the
-/// island model). Uninhabited: a `RunStatus<NoCheckpoint>` is provably
-/// always `Complete`, and `resume` on such algorithms is statically
-/// uncallable.
+/// The checkpoint type of NSGA-II, the one algorithm that cannot
+/// suspend. Uninhabited: a `RunStatus<NoCheckpoint>` is provably always
+/// `Complete`, and `resume` on it is statically uncallable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoCheckpoint {}
 
-/// One run API for all six optimization loops (NSGA-II/TPG, SACGA —
-/// whose `LocalOnly` mode is the local-competition GA — MESACGA,
-/// steady-state SACGA, the island model and the cellular GA).
+/// One run API for every optimizer: NSGA-II/TPG, SACGA (whose
+/// `LocalOnly` mode is the local-competition GA), MESACGA, steady-state
+/// SACGA, the island model and the cellular GA. Behind them run three
+/// population loops: NSGA-II, the partition-GA flow of
+/// [`steady`](crate::steady) (SACGA and MESACGA are its presets), and
+/// the [`cellular`](crate::cellular) loop (the island model is its
+/// fully-connected preset).
 ///
 /// Every entry point exists in two forms: a `*_with` method taking a
 /// `&mut dyn Sink` that receives the structured [`RunEvent`] stream,
@@ -24,12 +27,10 @@ pub enum NoCheckpoint {}
 /// RNG, so for a given seed the returned [`RunOutcome`] is bit-identical
 /// whichever form is used.
 ///
-/// Bounded runs (`run_until*` / `resume*`) are supported only by the
-/// checkpointable algorithms (SACGA in either competition mode, MESACGA,
-/// steady-state SACGA, cellular); the others (NSGA-II, island) set
-/// [`Checkpoint`](Optimizer::Checkpoint) to [`NoCheckpoint`]
-/// and reject `run_until` with
-/// [`OptimizeError::InvalidConfig`].
+/// Bounded runs (`run_until*` / `resume*`) are supported by every
+/// algorithm but NSGA-II, which sets
+/// [`Checkpoint`](Optimizer::Checkpoint) to [`NoCheckpoint`] and
+/// rejects `run_until` with [`OptimizeError::InvalidConfig`].
 pub trait Optimizer {
     /// Suspension checkpoint produced by bounded runs ([`NoCheckpoint`]
     /// for algorithms that cannot suspend).
@@ -140,8 +141,9 @@ pub trait Optimizer {
 /// checkpoints into the object-safe [`DynOptimizer`] API.
 ///
 /// Implemented by every checkpoint type in the workspace:
-/// [`SacgaCheckpoint`](crate::checkpoint::SacgaCheckpoint) and
-/// [`MesacgaCheckpoint`](crate::checkpoint::MesacgaCheckpoint) wrap
+/// [`SteadyCheckpoint`](crate::checkpoint::SteadyCheckpoint),
+/// [`MesacgaCheckpoint`](crate::checkpoint::MesacgaCheckpoint) and
+/// [`CellularCheckpoint`](crate::checkpoint::CellularCheckpoint) wrap
 /// their exact line-oriented serializations, and [`NoCheckpoint`]
 /// declares itself non-suspendable (its encode path is statically
 /// unreachable and its decode path always errors).

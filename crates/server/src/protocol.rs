@@ -36,7 +36,9 @@
 //! reply leaves as one segment instead of waiting ~40 ms for the
 //! client's delayed ACK. A request line may be at most
 //! [`MAX_REQUEST_LINE`] bytes; a longer one is answered with one
-//! `err request line exceeds ...` line and the connection is closed.
+//! `err request line exceeds ...` line and the connection is closed. At
+//! most [`MAX_CONNECTIONS`] clients are served at once; a client over
+//! the cap gets one `err too many connections ...` line and is closed.
 
 use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
@@ -51,6 +53,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// Longest request line accepted, in bytes without its `\n` (the longest
 /// valid request, a `submit` line, is a few hundred bytes).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Most client connections served at once; each holds one thread.
+pub const MAX_CONNECTIONS: usize = 32;
 
 fn one_line(msg: &str) -> String {
     msg.replace(['\n', '\r'], " ")

@@ -11,8 +11,8 @@
 //! checkpoint is persisted atomically (its state too when the health
 //! changed, see [`crate::store`]); if other jobs are
 //! waiting the job re-enters the queue (cooperative preemption),
-//! otherwise it continues inline. Algorithms that cannot checkpoint
-//! (NSGA-II, island) always run to completion in one slice.
+//! otherwise it continues inline. NSGA-II, the one loop that cannot
+//! checkpoint, always runs to completion in one slice.
 //!
 //! # Crash safety
 //!
@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,6 +45,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ServerError;
 use crate::hub::{read_events, ProgressHub, HUB_CAPACITY};
+use crate::protocol::MAX_CONNECTIONS;
 use crate::queue::{JobQueue, PopMode};
 use crate::spec::{JobId, JobSpec};
 use crate::store::{JobHealth, JobState, JobStatus, JobStore};
@@ -317,8 +318,17 @@ impl JobRuntime {
     }
 }
 
-/// Scrapes the completed-generation count out of checkpoint text (both
-/// SACGA and MESACGA checkpoints embed an engine-state `gen <n>` line).
+/// Answers a connection over [`MAX_CONNECTIONS`] with one `err` line
+/// and closes it.
+fn refuse_connection(mut stream: std::net::TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream
+        .write_all(format!("err too many connections (at most {MAX_CONNECTIONS})\n").as_bytes());
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+}
+
+/// Scrapes the completed-generation count out of checkpoint text (every
+/// checkpoint format embeds a `gen <n>` line).
 fn checkpoint_generation(text: &str) -> Option<usize> {
     text.lines()
         .find_map(|line| line.strip_prefix("gen "))
@@ -730,13 +740,17 @@ impl Server {
     }
 
     /// Serves the line protocol on `listener` until a client sends
-    /// `shutdown` (or [`Server::request_shutdown`] is called).
+    /// `shutdown` (or [`Server::request_shutdown`] is called). At most
+    /// [`MAX_CONNECTIONS`] clients are served at once, one thread each; a
+    /// connection over the cap is answered with one `err` line and
+    /// closed.
     ///
     /// # Errors
     ///
     /// Propagates listener configuration failures.
     pub fn serve(&self, listener: TcpListener) -> Result<(), ServerError> {
         listener.set_nonblocking(true)?;
+        let open = AtomicUsize::new(0);
         std::thread::scope(|scope| -> Result<(), ServerError> {
             let workers = scope.spawn(|| self.run_workers(PopMode::Wait, None));
             loop {
@@ -744,8 +758,16 @@ impl Server {
                     break;
                 }
                 match listener.accept() {
+                    Ok((stream, _addr)) if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS => {
+                        refuse_connection(stream);
+                    }
                     Ok((stream, _addr)) => {
-                        scope.spawn(move || crate::protocol::handle_connection(self, stream));
+                        open.fetch_add(1, Ordering::SeqCst);
+                        let open = &open;
+                        scope.spawn(move || {
+                            crate::protocol::handle_connection(self, stream);
+                            open.fetch_sub(1, Ordering::SeqCst);
+                        });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(25));
@@ -1025,6 +1047,100 @@ mod tests {
             },
             42,
         )
+    }
+
+    /// Forwards to a job's segment sink and, at each `GenerationEnd`,
+    /// collects the hub batch that event closed.
+    struct BatchProbe<'s, 'a> {
+        segment: &'s mut SegmentSink<'a>,
+        hub: &'a ProgressHub,
+        cursor: u64,
+        batches: Vec<(usize, Vec<RunEvent>)>,
+    }
+
+    impl Sink for BatchProbe<'_, '_> {
+        fn record(&mut self, event: &RunEvent) {
+            self.segment.record(event);
+            if let RunEvent::GenerationEnd { generation, .. } = event {
+                let poll = self.hub.poll(self.cursor, Duration::ZERO);
+                self.cursor = poll.next;
+                let batch = poll
+                    .lines
+                    .iter()
+                    .map(|l| RunEvent::from_json(l).unwrap())
+                    .collect();
+                self.batches.push((*generation, batch));
+            }
+        }
+    }
+
+    #[test]
+    fn each_generation_reaches_the_hub_with_its_promotion() {
+        for algo in [
+            "sacga:pop=16,gens=10,parts=4",
+            "mesacga:pop=16,span=2",
+            "steady:pop=16,gens=10,parts=4,window=24,quantum=4",
+        ] {
+            let spec = JobSpec::new(
+                "order",
+                ProblemSpec::Schaffer,
+                AlgoSpec::parse(algo).unwrap(),
+                42,
+            );
+            let root = tmp_root("hub-order");
+            fs::create_dir_all(&root).unwrap();
+            let mut jsonl = JsonlSink::append(root.join("events.jsonl")).unwrap();
+            let hub = ProgressHub::new();
+            let mut watch = WatchdogSet::build(&spec);
+            let flight = Mutex::new(FlightRecorder::default());
+            let registry = MetricsRegistry::new();
+            let mut run_metrics = RegistrySink::register(&registry, &[("arm", spec.algo.arm())]);
+            let mut segment = SegmentSink {
+                jsonl: &mut jsonl,
+                hub: &hub,
+                pending: Vec::new(),
+                watch: &mut watch,
+                flight: &flight,
+                run_metrics: &mut run_metrics,
+            };
+            let mut probe = BatchProbe {
+                segment: &mut segment,
+                hub: &hub,
+                cursor: 0,
+                batches: Vec::new(),
+            };
+            let outcome = spec
+                .build_optimizer(None, None)
+                .unwrap()
+                .run_dyn_with(42, &mut probe)
+                .unwrap();
+            assert_eq!(probe.batches.len(), outcome.generations, "{algo}");
+            let mut promoted = 0;
+            for (g, batch) in &probe.batches {
+                // The batch closes with its generation's end ...
+                assert!(matches!(
+                    batch.last(),
+                    Some(RunEvent::GenerationEnd { generation, .. }) if generation == g
+                ));
+                // ... and every annealed generation's promotion is in it.
+                let phase = outcome.history[*g].phase;
+                let promotions: Vec<usize> = batch
+                    .iter()
+                    .filter_map(|e| match e {
+                        RunEvent::Promotion { generation, .. } => Some(*generation),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    promotions,
+                    if phase == 2 { vec![*g] } else { vec![] },
+                    "{algo} gen {g}"
+                );
+                promoted += promotions.len();
+            }
+            assert_eq!(promoted, outcome.generations - outcome.gen_t, "{algo}");
+            let _ = fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

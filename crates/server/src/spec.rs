@@ -509,23 +509,6 @@ impl AlgoSpec {
             AlgoSpec::Cellular { .. } => "cellular",
         }
     }
-
-    /// Whether this arm's builder accepts a shared (tenant) cache.
-    pub fn supports_shared_cache(&self) -> bool {
-        matches!(
-            self,
-            AlgoSpec::Sacga { .. }
-                | AlgoSpec::Mesacga { .. }
-                | AlgoSpec::Steady { .. }
-                | AlgoSpec::Nsga2 { .. }
-                | AlgoSpec::Cellular { .. }
-        )
-    }
-
-    /// Whether this arm's builder accepts a surrogate pre-screen.
-    pub fn supports_screen(&self) -> bool {
-        !matches!(self, AlgoSpec::Island { .. })
-    }
 }
 
 /// A complete job description: problem + algorithm arm + seed + service
@@ -536,8 +519,7 @@ pub struct JobSpec {
     /// identical configuration vary only this.
     pub name: String,
     /// Shared-cache pool this job draws from; `None` means a private
-    /// per-run cache. Only arms for which
-    /// [`AlgoSpec::supports_shared_cache`] is `true` may set a tenant.
+    /// per-run cache.
     pub tenant: Option<String>,
     /// The benchmark problem.
     pub problem: ProblemSpec,
@@ -548,8 +530,8 @@ pub struct JobSpec {
     /// Queue priority 0–9; higher pops first, FIFO within a level.
     pub priority: u8,
     /// Cooperative-preemption quantum in generations; `0` runs each
-    /// job to completion in one slice. Ignored by arms that cannot
-    /// checkpoint (NSGA-II, island), which always run to completion.
+    /// job to completion in one slice. Ignored by NSGA-II, the one arm
+    /// that cannot checkpoint, which always runs to completion.
     pub slice: usize,
     /// Stall-detector window in generations; `0` disables the detector.
     pub stall_window: usize,
@@ -653,12 +635,6 @@ impl JobSpec {
                     "tenant {t:?} must be non-empty [A-Za-z0-9._-]"
                 )));
             }
-            if !self.algo.supports_shared_cache() {
-                return Err(ServerError::InvalidSpec(format!(
-                    "algo {} does not support a tenant cache",
-                    self.algo.token()
-                )));
-            }
         }
         if self.priority > 9 {
             return Err(ServerError::InvalidSpec(format!(
@@ -679,19 +655,11 @@ impl JobSpec {
                 self.inject_nonfinite
             )));
         }
-        if self.screen {
-            if self.problem.surrogate_screen().is_none() {
-                return Err(ServerError::InvalidSpec(format!(
-                    "problem {} has no surrogate screen",
-                    self.problem.token()
-                )));
-            }
-            if !self.algo.supports_screen() {
-                return Err(ServerError::InvalidSpec(format!(
-                    "algo {} does not support a surrogate screen",
-                    self.algo.token()
-                )));
-            }
+        if self.screen && self.problem.surrogate_screen().is_none() {
+            return Err(ServerError::InvalidSpec(format!(
+                "problem {} has no surrogate screen",
+                self.problem.token()
+            )));
         }
         Ok(())
     }
@@ -805,9 +773,7 @@ impl JobSpec {
     /// `inject_nonfinite > 0`), the problem's surrogate screen (when
     /// `screen` is set), and a live [`EngineMetrics`] bundle (when given;
     /// observation only, results are unchanged). All four go into one
-    /// [`EngineSetup`] shared by every arm; a cache or screen is dropped
-    /// for arms that do not support one, as [`JobSpec::validate`]
-    /// rejects such specs.
+    /// [`EngineSetup`] shared by every arm.
     ///
     /// # Errors
     ///
@@ -821,7 +787,7 @@ impl JobSpec {
         let cfg_err = |e: moea::OptimizeError| ServerError::InvalidSpec(e.to_string());
         let problem = self.problem.build();
         let mut exec = EngineSetup::new();
-        if let Some(cache) = cache.filter(|_| self.algo.supports_shared_cache()) {
+        if let Some(cache) = cache {
             exec = exec.shared_cache(cache);
         }
         if self.inject_nonfinite > 0.0 {
@@ -834,7 +800,6 @@ impl JobSpec {
             .screen
             .then(|| self.problem.surrogate_screen())
             .flatten()
-            .filter(|_| self.algo.supports_screen())
         {
             exec = exec.surrogate_screen(screen);
         }
@@ -1007,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn screen_rejected_without_a_surrogate_or_support() {
+    fn screen_rejected_without_a_surrogate() {
         let no_surrogate = demo().screen(); // schaffer has no surrogate
         assert!(matches!(
             no_surrogate.validate(),
@@ -1024,10 +989,7 @@ mod tests {
             7,
         )
         .screen();
-        assert!(matches!(
-            island.validate(),
-            Err(ServerError::InvalidSpec(_))
-        ));
+        assert!(island.validate().is_ok());
     }
 
     #[test]
@@ -1050,8 +1012,6 @@ mod tests {
             "steady:pop=16,gens=10,parts=4,window=16,quantum=4"
         );
         assert_eq!(AlgoSpec::parse(&parsed.token()).unwrap(), parsed);
-        assert!(parsed.supports_shared_cache());
-        assert!(parsed.supports_screen());
     }
 
     #[test]
@@ -1079,8 +1039,6 @@ mod tests {
              interval=10,migrants=1,open=0,aniso=50"
         );
         assert_eq!(AlgoSpec::parse(&parsed.token()).unwrap(), parsed);
-        assert!(parsed.supports_shared_cache());
-        assert!(parsed.supports_screen());
         // Non-ring families parse; garbage and non-square tori do not.
         let torus =
             AlgoSpec::parse("cellular:pop=64,gens=12,topo=torus,cells=16,interval=4").unwrap();
@@ -1092,19 +1050,28 @@ mod tests {
     }
 
     #[test]
-    fn tenant_rejected_for_uncached_arms() {
-        let spec = JobSpec::new(
-            "x",
-            ProblemSpec::Schaffer,
-            AlgoSpec::Island {
-                pop: 32,
-                gens: 5,
-                islands: 2,
-            },
-            1,
-        )
-        .tenant("acme");
-        assert!(matches!(spec.validate(), Err(ServerError::InvalidSpec(_))));
+    fn tenant_accepted_by_every_arm() {
+        for algo in [
+            "sacga:pop=16,gens=4,parts=4",
+            "local:pop=16,gens=4,parts=4",
+            "mesacga:pop=16,span=2",
+            "steady:pop=16,gens=4,parts=4",
+            "nsga2:pop=16,gens=4",
+            "island:pop=32,gens=4,islands=2",
+            "cellular:pop=32,gens=4,cells=4",
+        ] {
+            let spec = JobSpec::new(
+                "x",
+                ProblemSpec::Schaffer,
+                AlgoSpec::parse(algo).unwrap(),
+                1,
+            );
+            assert!(spec.clone().tenant("acme").validate().is_ok(), "{algo}");
+            assert!(matches!(
+                spec.tenant("a cme").validate(),
+                Err(ServerError::InvalidSpec(_))
+            ));
+        }
     }
 
     #[test]
@@ -1165,17 +1132,14 @@ mod tests {
             assert!(!outcome.front.is_empty(), "{}", algo.token());
 
             // The shared engine setup reaches every arm's engine: fault
-            // injection, the metric bundle, and (where the arm supports
-            // one) the tenant cache.
+            // injection, the metric bundle, and the tenant cache.
             let arm = algo.arm();
             let metrics = EngineMetrics::register(&registry, &[("arm", arm)]);
-            let cache = algo
-                .supports_shared_cache()
-                .then(|| SharedCache::with_capacity(4096));
+            let cache = SharedCache::with_capacity(4096);
             let outcome = spec
                 .clone()
                 .inject_nonfinite(0.2)
-                .build_optimizer(cache.clone(), Some(metrics.clone()))
+                .build_optimizer(Some(cache.clone()), Some(metrics.clone()))
                 .unwrap()
                 .run_dyn(7)
                 .unwrap();
@@ -1193,9 +1157,21 @@ mod tests {
                 metrics.evaluations.get() + metrics.cache_hits.get() + metrics.screened.get(),
                 "{arm}: metrics unbalanced"
             );
-            if let Some(cache) = cache {
-                assert!(cache.stats().inserts > 0, "{arm}: tenant cache unused");
-            }
+            assert!(cache.stats().inserts > 0, "{arm}: tenant cache unused");
+
+            // ... and the problem's surrogate screen, beside a tenant
+            // cache, from the initial population on.
+            let screened = EngineMetrics::register(&registry, &[("arm", arm), ("tenant", "t")]);
+            let cache = SharedCache::with_capacity(4096);
+            JobSpec::new("s", ProblemSpec::Drivable, algo.clone(), 7)
+                .tenant("t")
+                .screen()
+                .build_optimizer(Some(cache.clone()), Some(screened.clone()))
+                .unwrap()
+                .run_until_dyn_with(7, 1, &mut sacga::NullSink)
+                .unwrap();
+            assert!(screened.screened.get() > 0, "{arm}: screen unused");
+            assert!(cache.stats().inserts > 0, "{arm}: tenant cache unused");
         }
     }
 

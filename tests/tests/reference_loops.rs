@@ -16,21 +16,25 @@
 //! The goldens were recorded from the dedicated generational, MESACGA
 //! and island loops before those loops became presets of the steady
 //! flow and the cellular loop; the presets must reproduce them
-//! unchanged. To re-record after an intentional behavior change:
+//! unchanged. So must a resume from `sacga-checkpoint v1` text, the
+//! format the generational loop wrote. To re-record after an
+//! intentional behavior change:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p integration-tests --test reference_loops
 //! ```
 
+use analog_dse::campaign::CellResult;
 use analog_dse::circuits::{DrivableLoadProblem, Spec};
 use analog_dse::engine::{EngineStats, FaultPlan, FaultPolicy};
 use analog_dse::moea::individual::Individual;
 use analog_dse::moea::problems::{BinhKorn, Constr, NarrowingCorridor, Schaffer, Tanaka, Zdt1};
-use analog_dse::moea::{Problem, RunOutcome, RunStatus};
+use analog_dse::moea::{OptimizeError, Problem, RunOutcome, RunStatus};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{CompetitionMode, Sacga, SacgaConfig};
 use analog_dse::sacga::telemetry::{EventKind, Optimizer, RunEvent, Sink};
+use analog_dse::sacga::SteadyCheckpoint;
 
 mod common;
 use common::check_golden;
@@ -264,37 +268,31 @@ fn sacga_presets_reproduce_the_generational_reference() {
 #[test]
 fn sacga_checkpoint_state_matches_the_generational_reference() {
     let mut out = String::from("# reference-loops v1: sacga checkpoint state\n");
-    let cases: Vec<(&str, Box<dyn Fn() -> Sacga<Box<dyn Problem + Sync>>>)> = vec![
+    let sacga = |p: Box<dyn Problem + Sync>, cfg| Sacga::new(p, cfg);
+    let cases = [
         (
             "schaffer m=5 seed=42",
-            Box::new(|| {
-                Sacga::new(
-                    Box::new(Schaffer::new()) as Box<dyn Problem + Sync>,
-                    sacga_config(32, 20, 5, CompetitionMode::Annealed),
-                )
-            }),
+            sacga(
+                Box::new(Schaffer::new()),
+                sacga_config(32, 20, 5, CompetitionMode::Annealed),
+            ),
         ),
         (
             "tanaka local m=3 seed=42",
-            Box::new(|| {
-                Sacga::new(
-                    Box::new(Tanaka::new()) as Box<dyn Problem + Sync>,
-                    sacga_config(24, 16, 3, CompetitionMode::LocalOnly),
-                )
-            }),
+            sacga(
+                Box::new(Tanaka::new()),
+                sacga_config(24, 16, 3, CompetitionMode::LocalOnly),
+            ),
         ),
         (
             "constr m=5 seed=42",
-            Box::new(|| {
-                Sacga::new(
-                    Box::new(Constr::new()) as Box<dyn Problem + Sync>,
-                    sacga_config(24, 16, 5, CompetitionMode::Annealed),
-                )
-            }),
+            sacga(
+                Box::new(Constr::new()),
+                sacga_config(24, 16, 5, CompetitionMode::Annealed),
+            ),
         ),
     ];
-    for (label, make) in cases {
-        let ga = make();
+    for (label, ga) in cases {
         for stop in [0usize, 1, 2, 3, 4, 7, 11, 15] {
             let text = match ga.run_until(42, stop).unwrap() {
                 RunStatus::Suspended(cp) => cp.to_text(),
@@ -429,4 +427,67 @@ fn island_preset_reproduces_the_reference() {
         6,
     );
     check_golden("reference_island.txt", &out);
+}
+
+/// `sacga-checkpoint v1` text written by the generational loop for a
+/// Schaffer SACGA job (`sacga:pop=16,gens=12,parts=4`, seed 42)
+/// suspended after generation 6.
+fn legacy_checkpoint() -> String {
+    std::fs::read_to_string(common::golden_path("legacy_sacga_checkpoint_gen6.txt")).unwrap()
+}
+
+fn legacy_job() -> Sacga<Schaffer> {
+    Sacga::new(
+        Schaffer::new(),
+        sacga_config(16, 12, 4, CompetitionMode::Annealed),
+    )
+}
+
+#[test]
+fn legacy_sacga_checkpoint_resumes_to_the_uninterrupted_outcome() {
+    let cp = SteadyCheckpoint::from_text(&legacy_checkpoint()).unwrap();
+    assert_eq!(cp.state.gen, 6);
+    assert!(cp.pending.is_empty());
+    let outcome = legacy_job().resume(&cp).unwrap();
+    let cell = CellResult::from_outcome("sacga:pop=16,gens=12,parts=4", 42, &outcome);
+    check_golden("server_sacga_schaffer_seed42.cell", &cell.to_text());
+}
+
+#[test]
+fn truncated_or_flipped_legacy_checkpoint_is_rejected_without_panicking() {
+    let text = legacy_checkpoint();
+    let bytes = text.as_bytes();
+    // Every cut short of the closing `end` loses the end marker.
+    for cut in 0..bytes.len() - 1 {
+        let head = std::str::from_utf8(&bytes[..cut]).unwrap();
+        assert!(
+            matches!(
+                SteadyCheckpoint::from_text(head),
+                Err(OptimizeError::InvalidCheckpoint { .. })
+            ),
+            "truncation at byte {cut} parsed"
+        );
+    }
+    // A flipped low bit either breaks the syntax (an InvalidCheckpoint)
+    // or yields another well-formed state; resuming one must not panic.
+    let ga = legacy_job();
+    let mut resumed = 0;
+    for i in 0..bytes.len() {
+        let mut flipped = bytes.to_vec();
+        flipped[i] ^= 0x01;
+        let Ok(flipped) = String::from_utf8(flipped) else {
+            continue;
+        };
+        match SteadyCheckpoint::from_text(&flipped) {
+            Err(e) => assert!(
+                matches!(e, OptimizeError::InvalidCheckpoint { .. }),
+                "flip at byte {i}: {e}"
+            ),
+            Ok(cp) => {
+                resumed += 1;
+                let _ = ga.resume(&cp);
+            }
+        }
+    }
+    assert!(resumed > 0);
 }

@@ -11,9 +11,10 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use dse_server::protocol::MAX_REQUEST_LINE;
+use dse_server::protocol::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
 use dse_server::{
-    AlgoSpec, JobHealth, JobId, JobSpec, JobStatus, ProblemSpec, Server, ServerConfig, ServerError,
+    AlgoSpec, JobHealth, JobId, JobSpec, JobStatus, JobStore, ProblemSpec, Server, ServerConfig,
+    ServerError,
 };
 
 mod common;
@@ -121,6 +122,29 @@ fn killed_daemon_resumes_in_flight_jobs_bit_identically() {
 }
 
 #[test]
+fn legacy_sacga_checkpoint_in_a_job_store_resumes_to_the_recorded_outcome() {
+    // A store left by a daemon whose SACGA loop wrote
+    // `sacga-checkpoint v1` (killed after three 2-generation slices)
+    // resumes on the steady flow to the outcome of the uninterrupted run.
+    let spec = sacga_spec("legacy").slice(2);
+    let id = spec.id();
+    let root = scratch_dir("legacy");
+    let store = JobStore::open(&root).unwrap();
+    store.create_job(id, &spec).unwrap();
+    let legacy = std::fs::read_to_string(common::golden_path("legacy_sacga_checkpoint_gen6.txt"));
+    store.write_checkpoint(id, &legacy.unwrap()).unwrap();
+    drop(store);
+
+    let server = Server::open(&root, config(1)).unwrap();
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Queued);
+    server.run_until_idle().unwrap();
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+    let outcome = std::fs::read_to_string(server.store().outcome_path(id)).unwrap();
+    check_golden("server_sacga_schaffer_seed42.cell", &outcome);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn torn_state_file_is_reenqueued_and_resumed() {
     let spec = sacga_spec("torn").slice(2);
     let root = scratch_dir("torn");
@@ -151,9 +175,9 @@ fn torn_state_file_is_reenqueued_and_resumed() {
 fn preemption_determinism_across_all_loops() {
     // A job suspended and resumed K times at arbitrary generation
     // boundaries must produce the same outcome as an unpreempted run —
-    // for every optimizer loop. Loops that cannot checkpoint (NSGA-II,
-    // island) ignore the quantum and run to completion, so the claim
-    // holds trivially for them.
+    // for every optimizer loop. NSGA-II cannot checkpoint: it ignores
+    // the quantum and runs to completion, so the claim holds trivially
+    // for it; every other arm really suspends at each slice boundary.
     let arms: Vec<(&str, AlgoSpec)> = vec![
         (
             "sacga",
@@ -207,6 +231,13 @@ fn preemption_determinism_across_all_loops() {
             server.run_until_idle().unwrap();
             let view = server.status(id).unwrap();
             assert_eq!(view.status, JobStatus::Done, "{label} slice={slice}");
+            let events = std::fs::read_to_string(server.store().events_path(id)).unwrap();
+            let suspensions = events.matches("\"checkpoint_written\"").count();
+            if slice == 1 && label != "nsga2" {
+                assert!(suspensions >= 9, "{label}: {suspensions} suspensions");
+            } else if slice == 0 || label == "nsga2" {
+                assert_eq!(suspensions, 0, "{label} slice={slice}");
+            }
             outcomes.push(std::fs::read(server.store().outcome_path(id)).unwrap());
             let _ = std::fs::remove_dir_all(&root);
         }
@@ -808,6 +839,60 @@ fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
         );
         let mut writer = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(writer.try_clone().unwrap());
+        assert_eq!(round_trip(&mut writer, &mut reader, "ping"), "ok pong");
+    });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn connections_over_the_cap_are_refused_until_a_slot_frees() {
+    let root = scratch_dir("conn-cap");
+    let server = Server::open(&root, config(1)).unwrap();
+    with_daemon(&server, |addr| {
+        let connect = || {
+            let writer = TcpStream::connect(addr).unwrap();
+            writer
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let reader = BufReader::new(writer.try_clone().unwrap());
+            (writer, reader)
+        };
+        // Fill every slot; a reply proves the connection holds one.
+        let mut idle: Vec<_> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let (mut writer, mut reader) = connect();
+                assert_eq!(round_trip(&mut writer, &mut reader, "ping"), "ok pong");
+                (writer, reader)
+            })
+            .collect();
+        // One more gets a single `err` line, then end of stream.
+        let (_extra, mut reader) = connect();
+        let mut reply = String::new();
+        reader.read_to_string(&mut reply).unwrap();
+        assert_eq!(
+            reply,
+            format!("err too many connections (at most {MAX_CONNECTIONS})\n")
+        );
+        // Closing one client frees its slot for the next. A refused
+        // client is told so at once; an accepted one hears nothing until
+        // it asks.
+        drop(idle.pop());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (mut writer, mut reader) = loop {
+            let (writer, mut reader) = connect();
+            writer
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            let mut refusal = String::new();
+            if reader.read_line(&mut refusal).is_err() {
+                writer
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                break (writer, reader);
+            }
+            assert!(refusal.starts_with("err too many connections"), "{refusal}");
+            assert!(Instant::now() < deadline, "no slot freed");
+        };
         assert_eq!(round_trip(&mut writer, &mut reader, "ping"), "ok pong");
     });
     let _ = std::fs::remove_dir_all(&root);
