@@ -627,7 +627,12 @@ where
             flow.gen = r.state.gen;
             flow.phase1_done = r.state.phase1_done;
             flow.gen_t = r.state.gen_t;
-            flow.merged = r.state.gen * n;
+            flow.merged = r.state.gen.checked_mul(n).ok_or_else(|| {
+                OptimizeError::invalid_checkpoint(format!(
+                    "generation {} out of range",
+                    r.state.gen
+                ))
+            })?;
             flow.produced = flow.merged + r.pending.len();
             flow.phase_index = r.phase_index;
             flow.phase_start = r.phase_start;
@@ -868,7 +873,8 @@ impl Flow {
     /// spans whatever budget phase I left (none when it used it all).
     fn resolve_phases(&mut self) {
         if self.expanding {
-            self.generations = self.gen_t + self.phases.iter().map(|p| p.span).sum::<usize>();
+            let total: usize = self.phases.iter().map(|p| p.span).sum();
+            self.generations = self.gen_t.saturating_add(total);
         } else {
             let span = self.generations.saturating_sub(self.gen_t);
             self.phases = (span > 0)
@@ -919,7 +925,7 @@ impl Flow {
         let Some(phase) = self.phases.get(self.phase_index) else {
             return Ok(());
         };
-        if self.gen != self.phase_start + phase.span {
+        if self.gen != self.phase_start.saturating_add(phase.span) {
             return Ok(());
         }
         if self.expanding {

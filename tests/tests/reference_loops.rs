@@ -490,4 +490,17 @@ fn truncated_or_flipped_legacy_checkpoint_is_rejected_without_panicking() {
         }
     }
     assert!(resumed > 0);
+    // Counters far out of range are refused rather than overflowed.
+    for (from, to) in [
+        ("gen 6\n", "gen 18446744073709551615\n"),
+        ("gen_t 1\n", "gen_t 18446744073709551615\n"),
+    ] {
+        let cp = SteadyCheckpoint::from_text(&text.replace(from, to)).unwrap();
+        let _ = ga.resume(&cp);
+    }
+    let huge_gen = text.replace("gen 6\n", "gen 18446744073709551615\n");
+    assert!(matches!(
+        ga.resume(&SteadyCheckpoint::from_text(&huge_gen).unwrap()),
+        Err(OptimizeError::InvalidCheckpoint { .. })
+    ));
 }
