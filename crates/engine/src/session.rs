@@ -32,6 +32,11 @@
 //! * **Accounting**: `candidates == evaluations + cache_hits + screened`
 //!   holds at every drain boundary. Each drain counts one batch;
 //!   `max_batch` tracks the largest drain.
+//! * **Memory**: a drain that leaves nothing outstanding releases every
+//!   submission's record, so the session continues as a fresh one would
+//!   (submission indices keep counting). A loop that drains fully at
+//!   each generation boundary holds one generation's records, however
+//!   long it runs.
 //!
 //! Under the serial evaluator, evaluation is deferred to the drain so
 //! the whole outstanding miss set still goes through the problem's batch
@@ -160,9 +165,14 @@ pub struct EvaluationSession<'a, T, F, B> {
     eval: &'a F,
     batch_eval: &'a B,
     backend: Backend<T>,
+    /// Records of the submissions since the last full drain; entry `i`
+    /// is submission `base + i`.
     entries: Vec<Entry<T>>,
-    /// Cache key → submission index of the pending miss that owns it.
+    /// Submissions released by earlier full drains.
+    base: usize,
+    /// Cache key → entry index of the pending miss that owns it.
     pending: HashMap<Vec<i64>, usize>,
+    /// Entries drained so far.
     drained: usize,
     /// Live metric handles mirroring the stats counters (observation
     /// only; never steers evaluation).
@@ -195,7 +205,7 @@ where
 {
     /// Total submissions so far (including drained ones).
     pub fn submitted(&self) -> usize {
-        self.entries.len()
+        self.base + self.entries.len()
     }
 
     /// The engine's statistics, live as of the last submit or drain
@@ -214,7 +224,7 @@ where
 
     /// Submissions already handed back by drains.
     pub fn drained(&self) -> usize {
-        self.drained
+        self.base + self.drained
     }
 
     /// Submissions not yet drained.
@@ -246,7 +256,7 @@ where
                     slot: Slot::Ready(value),
                     key: None,
                 });
-                return idx;
+                return self.base + idx;
             }
             if let Some(&m) = self.pending.get(&key) {
                 self.stats.cache_hits += 1;
@@ -257,23 +267,23 @@ where
                     slot: Slot::Alias(m),
                     key: None,
                 });
-                return idx;
+                return self.base + idx;
             }
             // A genuinely new candidate: later duplicates alias it even
             // when the screen answers it (the one-shot API resolves
             // duplicates before screening).
             self.pending.insert(key.clone(), idx);
             if self.screen_submission(genes) {
-                return idx;
+                return self.base + idx;
             }
             self.dispatch(idx, genes, Some(key));
         } else {
             if self.screen_submission(genes) {
-                return idx;
+                return self.base + idx;
             }
             self.dispatch(idx, genes, None);
         }
-        idx
+        self.base + idx
     }
 
     /// Restores a completion from a checkpoint: the value occupies the
@@ -282,12 +292,11 @@ where
     /// accounted when it executed) and no cache insertion. Returns the
     /// submission index.
     pub fn prime(&mut self, value: T) -> usize {
-        let idx = self.entries.len();
         self.entries.push(Entry {
             slot: Slot::Ready(value),
             key: None,
         });
-        idx
+        self.base + self.entries.len() - 1
     }
 
     /// Offers `genes` to the screen; on an answer, records the screened
@@ -379,7 +388,7 @@ where
                     self.stats,
                     self.fault_events,
                     self.metrics.as_ref(),
-                    i,
+                    self.base + i,
                     outcome,
                     &mut first_failure,
                 );
@@ -426,6 +435,14 @@ where
             out.push(value);
         }
         self.drained = hi;
+        if self.drained == self.entries.len() {
+            // Nothing is outstanding, so no alias or pending miss can
+            // refer to these records any more: release them.
+            self.base += self.entries.len();
+            self.entries.clear();
+            self.pending.clear();
+            self.drained = 0;
+        }
         Ok(out)
     }
 
@@ -678,6 +695,7 @@ where
                 Backend::Inline
             },
             entries: Vec::new(),
+            base: 0,
             pending: HashMap::new(),
             drained: 0,
             metrics,
@@ -732,6 +750,7 @@ where
                 done: done_rx,
             }),
             entries: Vec::new(),
+            base: 0,
             pending: HashMap::new(),
             drained: 0,
             metrics,
@@ -929,6 +948,42 @@ mod tests {
             session.drain_all().unwrap_err()
         });
         assert_eq!(err.index, 0);
+    }
+
+    #[test]
+    fn full_drains_release_records_and_indices_keep_counting() {
+        let plan = FaultPlan::seeded(1).panics(1.0);
+        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(
+            EngineConfig::default()
+                .cache_capacity(16)
+                .inject_faults(plan),
+        );
+        let clean = |g: &[f64]| g[0];
+        let k = |chunk: &[Vec<f64>]| chunk.iter().map(|g| g[0]).collect::<Vec<f64>>();
+        let mut fresh: ExecutionEngine<f64> =
+            ExecutionEngine::new(EngineConfig::default().cache_capacity(16));
+        fresh.with_session(&clean, &k, |session| {
+            assert_eq!(session.submit(&[1.0]), 0);
+            assert_eq!(session.submit(&[1.0]), 1); // alias
+            assert_eq!(session.submit(&[2.0]), 2);
+            assert_eq!(session.drain(2).unwrap(), vec![1.0, 1.0]);
+            assert_eq!(session.entries.len(), 3, "one submission outstanding");
+            assert_eq!(session.drain_all().unwrap(), vec![2.0]);
+            assert!(session.entries.is_empty() && session.pending.is_empty());
+            assert_eq!((session.submitted(), session.drained()), (3, 3));
+            assert_eq!(session.submit(&[2.0]), 3); // cache hit
+            assert_eq!(session.prime(9.0), 4);
+            assert_eq!(session.drain_all().unwrap(), vec![2.0, 9.0]);
+        });
+        assert_eq!(fresh.stats().cache_hits, 2);
+        // Failures report the submission index across released records.
+        let err = engine.with_session(&clean, &k, |session| {
+            session.prime(0.0);
+            session.drain_all().unwrap();
+            session.submit(&[0.5]);
+            session.drain_all().unwrap_err()
+        });
+        assert_eq!(err.index, 1);
     }
 
     #[test]
