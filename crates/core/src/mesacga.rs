@@ -316,21 +316,10 @@ impl<P: Problem + Sync> Mesacga<P> {
     /// so the resumed run re-derives identical constants.
     fn drive(
         &self,
-        checkpoint: Option<&MesacgaCheckpoint>,
-        seed: u64,
+        launch: Launch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        let launch = match checkpoint {
-            None => Launch::Seed(seed),
-            Some(cp) => Launch::Resume(Resume {
-                state: &cp.state,
-                pending: &[],
-                phase_index: cp.phase_index,
-                phase_start: cp.phase_start,
-                phase_fronts: &cp.phase_fronts,
-            }),
-        };
         let phases = Some(self.config.phases.as_slice());
         Ok(
             match steady::drive(
@@ -358,6 +347,17 @@ impl<P: Problem + Sync> Mesacga<P> {
     }
 }
 
+/// Where a resumed MESACGA run stands in its phase schedule.
+fn resume(cp: &MesacgaCheckpoint) -> Launch<'_> {
+    Launch::Resume(Resume {
+        state: &cp.state,
+        pending: &[],
+        phase_index: cp.phase_index,
+        phase_start: cp.phase_start,
+        phase_fronts: &cp.phase_fronts,
+    })
+}
+
 impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     type Checkpoint = MesacgaCheckpoint;
 
@@ -366,7 +366,8 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(None, seed, None, sink).map(expect_complete)
+        self.drive(Launch::Seed(seed), None, sink)
+            .map(expect_complete)
     }
 
     fn run_until_with(
@@ -375,7 +376,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(None, seed, Some(stop_after), sink)
+        self.drive(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -383,7 +384,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         checkpoint: &MesacgaCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Some(checkpoint), 0, None, sink)
+        self.drive(resume(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -393,7 +394,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Some(checkpoint), 0, Some(stop_after), sink)
+        self.drive(resume(checkpoint), Some(stop_after), sink)
     }
 }
 
